@@ -11,7 +11,7 @@ The public surface is deliberately small — one front door:
   ``.distribute()/.align()/.redistribute()/.realign()`` directives and
   NumPy-flavored indexing that records array statements;
 * :class:`Backend` — typed backend specs (``Backend.simulate()``,
-  ``Backend.spmd(workers=4, mode="fork", fused=True)``) selecting how
+  ``Backend.spmd(workers=4, mode="fork")``) selecting how
   statements execute;
 * :class:`MachineConfig` — the simulated machine's cost parameters;
 * :class:`ExecutionReport` — per-statement communication accounting.
@@ -38,12 +38,8 @@ The second front end — the paper's directive language, now with
 
 Everything else (distribution formats, alignment specs, the template
 baseline, executors, the experiment registry E1–E12) lives in its
-subpackage; the former top-level re-exports remain importable through
-deprecation shims.
+subpackage and is imported from there.
 """
-
-import importlib
-import warnings
 
 from repro.api import DistributedArray, Session
 from repro.engine.executor import ExecutionReport
@@ -60,42 +56,3 @@ __all__ = [
     "Session",
     "__version__",
 ]
-
-#: former top-level re-exports -> their home module (kept importable,
-#: with a DeprecationWarning steering callers to the module or the
-#: Session API; the CI examples job errors on these firing from inside
-#: src/repro itself)
-_DEPRECATED = {
-    "DataSpace": "repro.core.dataspace",
-    "TemplateDataSpace": "repro.templates.model",
-    "Procedure": "repro.core.procedures",
-    "DummySpec": "repro.core.procedures",
-    "DummyMode": "repro.core.procedures",
-    "run_program": "repro.directives.analyzer",
-    "Block": "repro.distributions",
-    "BlockVariant": "repro.distributions",
-    "Collapsed": "repro.distributions",
-    "Cyclic": "repro.distributions",
-    "GeneralBlock": "repro.distributions",
-    "Triplet": "repro.fortran.triplet",
-    "IndexDomain": "repro.fortran.domain",
-    "ArrayRef": "repro.engine.expr",
-    "Assignment": "repro.engine.assignment",
-    "SimulatedExecutor": "repro.engine.executor",
-    "DistributedMachine": "repro.machine.simulator",
-}
-
-
-def __getattr__(name: str):
-    home = _DEPRECATED.get(name)
-    if home is None:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
-    warnings.warn(
-        f"'repro.{name}' is deprecated; import it from '{home}' "
-        "(or use the Session API — see repro.Session)",
-        DeprecationWarning, stacklevel=2)
-    return getattr(importlib.import_module(home), name)
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_DEPRECATED))

@@ -67,9 +67,7 @@ class Session:
     backend:
         A :class:`~repro.machine.backend.Backend` spec —
         ``Backend.simulate()`` (the default when ``None``) or
-        ``Backend.spmd(workers=4, mode="fork", fused=True)``.  Bare
-        kind strings (``"simulate"``/``"spmd"``) still resolve but emit
-        a :class:`DeprecationWarning`.
+        ``Backend.spmd(workers=4, mode="fork")``.
     opt:
         Optimizer level ``0``/``1``/``2``
         (see :mod:`repro.engine.passes`), or ``"auto"`` to enable the
@@ -104,25 +102,9 @@ class Session:
                  opt_window: int | None = None,
                  charge_remaps: bool = True,
                  ds: DataSpace | None = None,
-                 service=None,
-                 n_workers: int | None = None,
-                 mode: str | None = None) -> None:
+                 service=None) -> None:
         self.ds = ds if ds is not None else DataSpace(n_processors)
         self.backend = resolve_backend(backend)
-        if n_workers is not None or mode is not None:
-            # the pre-Backend loose kwargs; fold them into the spec
-            import dataclasses
-            import warnings
-            warnings.warn(
-                "Session(n_workers=..., mode=...) is deprecated; pass "
-                "backend=Backend.spmd(workers=..., mode=...) instead",
-                DeprecationWarning, stacklevel=2)
-            updates = {}
-            if n_workers is not None:
-                updates["n_workers"] = int(n_workers)
-            if mode is not None:
-                updates["mode"] = mode
-            self.backend = dataclasses.replace(self.backend, **updates)
         self.opt = "auto" if (isinstance(opt, str)
                               and opt.lower() == "auto") else int(opt)
         self.opt_window = opt_window

@@ -32,8 +32,8 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from repro.engine.analysis import replay_blockers
-from repro.engine.ir import LoopNode, Node, ProgramGraph, StatementNode
+from repro.engine.ir import LoopNode, Node, ProgramGraph, \
+    StatementNode, replay_blockers
 from repro.machine.config import MachineConfig
 
 __all__ = ["BOUNDARY_TRIP", "HYSTERESIS", "MIN_TRIPS_LEFT", "Proposal",

@@ -17,9 +17,10 @@ gated; the gated quantities are
   carry (``speedup_vs_simulate``).  This is the one wall-clock-derived
   gate: it is a ratio of two timings from the *same* run on the *same*
   runner, so machine speed cancels out of it, and it is what the fused
-  per-peer transfer plans exist to win.  Fused rows measured on a
-  multicore runner (``multicore: true`` — at least one core per worker)
-  must meet the absolute :data:`SPEEDUP_TARGET`; every speedup row is
+  per-peer transfer plans exist to win.  Dispatch rows (``backend:
+  spmd``, ``replay: false``) measured on a multicore runner
+  (``multicore: true`` — at least one core per worker) must meet the
+  absolute :data:`SPEEDUP_TARGET`; every speedup row is
   additionally held to a generous relative non-regression bound against
   the baseline snapshot when both snapshots came from the same runner
   class.  Single-core runners (where the SPMD backend cannot physically
@@ -179,10 +180,11 @@ def diff_speedups(baseline: Mapping[str, Mapping[str, Any]],
       into the candidate and, when both snapshots report the same
       ``multicore`` class (i.e. they are comparable runner-wise), must
       keep at least ``(1 - rel_tolerance)`` of the baseline speedup;
-    * every *candidate* row that is fused (``fused: true``) and ran on
-      a multicore runner (``multicore: true``) must meet the absolute
-      ``target`` — the paper-level claim that compiled per-peer plans
-      make real parallel execution beat the cost simulator.
+    * every *candidate* SPMD dispatch row (``backend: spmd``, not
+      ``replay``) that ran on a multicore runner (``multicore: true``)
+      must meet the absolute ``target`` — the paper-level claim that
+      compiled per-peer plans make real parallel execution beat the cost
+      simulator.
     """
     problems: list[str] = []
     for name, base_row in sorted(baseline.items()):
@@ -211,7 +213,7 @@ def diff_speedups(baseline: Mapping[str, Mapping[str, Any]],
                 f"(allowed {float(base) * (1 - rel_tolerance):.3f}x)")
     for name, cand_row in sorted(candidate.items()):
         cand = cand_row.get("speedup_vs_simulate")
-        if cand is None or not cand_row.get("fused") \
+        if cand is None or cand_row.get("backend") != "spmd" \
                 or not cand_row.get("multicore"):
             continue
         if cand_row.get("replay"):
@@ -373,8 +375,8 @@ def render_diff(baseline: Mapping[str, Mapping[str, Any]],
                       else "missing")
             flags = []
             row = candidate.get(name, {})
-            if row.get("fused"):
-                flags.append("fused")
+            if row.get("replay"):
+                flags.append("replay")
             if row.get("multicore"):
                 flags.append("multicore")
             suffix = f"  [{', '.join(flags)}]" if flags else ""
@@ -421,7 +423,7 @@ def _dormant_gates(candidate: Mapping[str, Mapping[str, Any]]
         if row.get("replay"):
             gate = (f"{REPLAY_SPEEDUP_TARGET}x replay speedup + "
                     f"{REPLAY_WALL_FACTOR}x wall vs dispatch")
-        elif row.get("fused"):
+        elif row.get("backend") == "spmd":
             gate = f"{SPEEDUP_TARGET}x fused speedup"
         else:
             continue

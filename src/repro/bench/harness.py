@@ -134,7 +134,7 @@ def run_quick_bench(sizes: Sequence[int] = (50_000,),
     Backend rows (:func:`_backend_rows`) additionally time the iterated
     Jacobi workload end to end under each requested execution backend
     (wall clock) and carry ``backend`` / ``workers`` / ``mode`` /
-    ``fused`` / ``barriers`` / ``cache_hit_rate`` — and for SPMD rows
+    ``replay`` / ``barriers`` / ``cache_hit_rate`` — and for SPMD rows
     ``speedup_vs_simulate``, the wall-clock ratio against the simulated
     run at the same machine width, plus ``multicore`` (whether the
     runner had at least one core per worker, the precondition of the
@@ -233,11 +233,10 @@ def _backend_rows(n: int, repeats: int,
                   backends: Sequence[str]) -> list[dict]:
     """Wall-clock rows for the iterated Jacobi workload per execution
     backend: the simulated cost oracle versus the parallel SPMD backend
-    (fused per-peer plans, the unfused per-statement baseline, and the
-    worker-resident replay path) at ≥2 worker counts, same statements,
-    same compiled schedules.  Every SPMD row records ``cpu_count`` and
-    ``replay`` so the bench-diff gates can tell an armed speedup target
-    from a dormant one."""
+    (per-window dispatch and the worker-resident replay path) at ≥2
+    worker counts, same statements, same compiled schedules.  Every
+    SPMD row records ``cpu_count`` and ``replay`` so the bench-diff
+    gates can tell an armed speedup target from a dormant one."""
     import os
 
     from repro.engine.assignment import Assignment
@@ -330,22 +329,18 @@ def _backend_rows(n: int, repeats: int,
                 "cache_hit_rate": round(hit_rate, 4)})
         if "spmd" not in backends:
             continue
-        # (suffix, fused, replay): the fused per-window dispatch path,
-        # the unfused two-barrier baseline, and the worker-resident
-        # replay path (fused windows shipped once, all trips replayed
-        # locally behind the shared-memory sense barrier)
-        for suffix, fused, replay in (("", True, False),
-                                      ("_unfused", False, False),
-                                      ("_replay", True, True)):
+        # the per-window dispatch path and the worker-resident replay
+        # path (windows shipped once, all trips replayed locally behind
+        # the shared-memory sense barrier)
+        for suffix, replay in (("", False), ("_replay", True)):
             seconds, words, hit_rate, mode, barriers = best_run(
-                Backend.spmd(fused=fused, replay=replay), p, grid,
-                replay=replay)
+                Backend.spmd(replay=replay), p, grid, replay=replay)
             row = {
                 "name": f"jacobi_spmd{suffix}_p{p}_s{n}",
                 "size": side * side,
                 "seconds": round(seconds, 6), "words_moved": int(words),
                 "backend": "spmd", "workers": p, "mode": mode,
-                "fused": fused, "replay": replay,
+                "replay": replay,
                 "barriers": int(barriers),
                 "multicore": p <= cores, "cpu_count": cores,
                 "cache_hit_rate": round(hit_rate, 4)}

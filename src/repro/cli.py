@@ -125,7 +125,6 @@ def _run_program_file(args: argparse.Namespace) -> int:
 
     if args.backend == "spmd":
         backend = Backend.spmd(workers=args.workers, mode=args.pool_mode,
-                               fused=not args.unfused,
                                replay=not args.no_replay)
     else:
         backend = Backend.simulate()
@@ -364,9 +363,8 @@ def _run_submit(args: argparse.Namespace) -> int:
             ) from None
     reply = client.run_source(
         source, processors=args.processors, backend=args.backend,
-        workers=args.workers, mode=args.pool_mode,
-        fused=not args.unfused, opt=args.opt, defines=defines,
-        timeout=args.timeout)
+        workers=args.workers, mode=args.pool_mode, opt=args.opt,
+        defines=defines, timeout=args.timeout)
     print(f"backend={args.backend} processors={args.processors} "
           f"opt=-O{args.opt}")
     for line in reply["reports"]:
@@ -445,9 +443,6 @@ def main(argv: list[str] | None = None) -> int:
                                               "thread"],
                       default="auto",
                       help="SPMD worker substrate (default auto)")
-    runp.add_argument("--unfused", action="store_true",
-                      help="SPMD: use the per-statement two-barrier "
-                           "baseline instead of fused per-peer plans")
     runp.add_argument("--no-replay", action="store_true",
                       help="SPMD: dispatch every loop trip from the "
                            "coordinator instead of compiling trip-"
@@ -521,8 +516,6 @@ def main(argv: list[str] | None = None) -> int:
     submit.add_argument("--pool-mode", choices=["auto", "fork", "process",
                                                 "thread"],
                         default="auto", help="SPMD worker substrate")
-    submit.add_argument("--unfused", action="store_true",
-                        help="SPMD: per-statement two-barrier baseline")
     submit.add_argument("--opt", type=int, choices=[0, 1, 2], default=0,
                         help="communication optimizer level (default 0)")
     submit.add_argument("--processors", "-p", type=int, default=4,

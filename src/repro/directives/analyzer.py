@@ -624,10 +624,9 @@ def run_program(source: str, *, n_processors: int = 4,
     backend when a machine is attached — a
     :class:`~repro.machine.backend.Backend` spec such as
     ``Backend.simulate()`` (the ``None`` default) or
-    ``Backend.spmd(workers=4, fused=True)``; bare kind strings still
-    resolve with a :class:`DeprecationWarning`.  ``opt_level``
-    enables the program-level communication optimizer (``0``/``1``/``2``
-    — see :mod:`repro.engine.passes`); ``opt_window`` pins the ``-O2``
+    ``Backend.spmd(workers=4)``.  ``opt_level`` enables the
+    program-level communication optimizer (``0``/``1``/``2`` — see
+    :mod:`repro.engine.passes`); ``opt_window`` pins the ``-O2``
     fusion-window size (default: adaptive per lowered segment).
     """
     analyzer = Analyzer(n_processors, inputs=inputs, model=model,

@@ -67,7 +67,7 @@ from repro.fortran.triplet import Triplet
 
 __all__ = [
     "analyze", "assert_window_race_free", "check_fusion_windows",
-    "plan_windows", "replay_blockers", "window_conflicts",
+    "plan_windows", "window_conflicts",
 ]
 
 #: wrap-around bound for liveness scans: two unrolled trips expose every
@@ -555,37 +555,6 @@ def analyze(ds: Any, graph: ProgramGraph, *, opt_level: int = 0,
     analysis = _Analysis(ds, graph, opt_level=opt_level, lines=lines,
                          perf=perf)
     return analysis.run()
-
-
-# ----------------------------------------------------------------------
-# Replay legality (the SPMD worker-resident loop path)
-# ----------------------------------------------------------------------
-def replay_blockers(loop: LoopNode) -> list[str]:
-    """Why ``loop`` may NOT be compiled into a worker-resident replay
-    program — an independent restatement of the trip-invariance
-    certificate (:meth:`~repro.engine.ir.LoopNode.is_trip_invariant`)
-    that *names* each blocking node, the way the other lint walkers do.
-
-    An empty list means every trip sees the same layouts and storage
-    instances: every schedule compiled on trip 0 is valid verbatim for
-    trips 1..N-1, so workers may run the whole loop ahead of the
-    coordinator's per-trip accounting.  A non-empty list is the reason
-    the runner falls back to per-window dispatch.
-    """
-    blockers: list[str] = []
-    if loop.count <= 0:
-        blockers.append("zero-trip loop (nothing to replay)")
-    for node in _static_preorder(loop.body):
-        if isinstance(node, (RedistributeNode, RealignNode)):
-            blockers.append(
-                f"mid-loop remap breaks trip invariance: {node}")
-        elif isinstance(node, AllocateNode):
-            blockers.append(
-                f"mid-loop allocation flips storage: {node}")
-        elif isinstance(node, DeallocateNode):
-            blockers.append(
-                f"mid-loop deallocation flips storage: {node}")
-    return blockers
 
 
 # ----------------------------------------------------------------------

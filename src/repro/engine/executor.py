@@ -111,9 +111,9 @@ class ExecutionReport:
     #: its statements, so sums over a program stay honest)
     wall_s: float = 0.0
     #: synchronization barriers the backend crossed for this statement:
-    #: 0 for the sequential executors, 2 per statement on the unfused
-    #: SPMD path, and exactly 1 per fusion window on the fused path
-    #: (carried by the window's first report)
+    #: 0 for the sequential executors, 1 per dispatched SPMD fusion
+    #: window and 2 per replayed window-trip (carried by the window's
+    #: first report)
     barrier_count: int = 0
     #: wall seconds per execution phase (e.g. ``'gather'``/``'write'``,
     #: each the max across workers), on the report that carries the

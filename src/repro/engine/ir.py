@@ -36,7 +36,7 @@ from repro.errors import DirectiveError
 
 __all__ = [
     "AllocateNode", "DeallocateNode", "LoopNode", "Node", "ProgramGraph",
-    "RealignNode", "RedistributeNode", "StatementNode",
+    "RealignNode", "RedistributeNode", "StatementNode", "replay_blockers",
 ]
 
 
@@ -172,24 +172,15 @@ class LoopNode:
 
     def is_trip_invariant(self) -> bool:
         """The trip-invariance certificate: every trip of this loop sees
-        the same layouts, storage instances and compiled schedules.
-
-        True iff no node anywhere in the body (nested loops included)
-        mutates a mapping or flips an allocation — exactly the condition
-        under which the layout-epoch numbering stays constant across the
-        whole loop and every per-statement schedule compiled on trip 0
-        is valid verbatim on trips 1..N-1.  This is the same legality
-        :func:`~repro.engine.passes.plan_hoists` reasons from (an empty
-        ``layout_of`` means there is nothing to hoist *and* nothing that
-        could invalidate a schedule), and it is what licenses the SPMD
-        backend to replay the body worker-resident.
-        """
-        return self.count > 0 and not self.layout_of()
+        the same layouts, storage instances and compiled schedules —
+        :func:`replay_blockers` finds nothing.  It is what licenses the
+        SPMD backend to replay the body worker-resident."""
+        return not replay_blockers(self)
 
     def flat_body(self) -> tuple["StatementNode", ...] | None:
         """The statement instances of ONE trip, in execution order, with
         nested pure loops unrolled — or ``None`` when the body holds any
-        non-statement node (a remap or storage event cannot replay)."""
+        non-statement node (which :func:`replay_blockers` names)."""
         out: list[StatementNode] = []
         for n in self.body:
             if isinstance(n, StatementNode):
@@ -205,6 +196,44 @@ class LoopNode:
 
     def __str__(self) -> str:
         return f"LOOP x{self.count} [{len(self.body)} nodes]"
+
+
+def replay_blockers(loop: LoopNode) -> list[str]:
+    """Why ``loop`` may NOT be compiled into a worker-resident replay
+    program, naming each blocking node — the one statement of replay
+    legality the runner, the autotuner and the tests all consult.
+
+    An empty list means no node anywhere in the body (nested loops
+    included) mutates a mapping or flips an allocation — exactly the
+    condition under which the layout-epoch numbering stays constant
+    across the whole loop, so every schedule compiled on trip 0 is valid
+    verbatim for trips 1..N-1 and workers may run the whole loop ahead
+    of the coordinator's per-trip accounting.  This is the same legality
+    :func:`~repro.engine.passes.plan_hoists` reasons from (an empty
+    ``layout_of`` means there is nothing to hoist *and* nothing that
+    could invalidate a schedule).  A non-empty list is the reason the
+    runner falls back to per-window dispatch.
+    """
+    blockers: list[str] = []
+    if loop.count <= 0:
+        blockers.append("zero-trip loop (nothing to replay)")
+
+    def visit(nodes: Sequence["Node"]) -> None:
+        for node in nodes:
+            if isinstance(node, LoopNode):
+                visit(node.body)
+            elif isinstance(node, (RedistributeNode, RealignNode)):
+                blockers.append(
+                    f"mid-loop remap breaks trip invariance: {node}")
+            elif isinstance(node, AllocateNode):
+                blockers.append(
+                    f"mid-loop allocation flips storage: {node}")
+            elif isinstance(node, DeallocateNode):
+                blockers.append(
+                    f"mid-loop deallocation flips storage: {node}")
+
+    visit(loop.body)
+    return blockers
 
 
 Node = Union[StatementNode, RedistributeNode, RealignNode, AllocateNode,

@@ -528,8 +528,7 @@ class ProgramRunner:
     def __init__(self, ds: DataSpace, machine: DistributedMachine, *,
                  backend=None, opt_level=0,
                  charge_remaps: bool = True,
-                 opt_window: int | None = None,
-                 **backend_kwargs) -> None:
+                 opt_window: int | None = None) -> None:
         self.ds = ds
         self.machine = machine
         #: ``opt_level="auto"`` enables the feedback loop: the -O2 pass
@@ -548,8 +547,6 @@ class ProgramRunner:
         else:
             from repro.machine.backend import make_executor
             self.executor = make_executor(ds, machine, backend)
-            for key, value in backend_kwargs.items():
-                setattr(self.executor, key, value)
         self.accountant = (OptimizingAccountant(
             ds, machine, self.opt_level,
             window=opt_window if opt_window is not None else _WINDOW_LIMIT)
@@ -580,8 +577,7 @@ class ProgramRunner:
         dispatch path, where hoisting handles it."""
         return (getattr(self.executor, "replay", False)
                 and hasattr(self.executor, "execute_loop")
-                and loop.is_trip_invariant()
-                and loop.flat_body() is not None)
+                and loop.is_trip_invariant())
 
     def run(self, graph: ProgramGraph,
             on_node=None) -> ProgramRunResult:

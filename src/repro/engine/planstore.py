@@ -28,8 +28,9 @@ A content key has three ingredients:
 
 Adoption never shares mutable state: every field of a compiled schedule
 is a read-only array, and the adopter re-stamps the scope-local
-``epoch`` (and, for window plans, the executor-local ``serial``) with
-:func:`dataclasses.replace`, so the stored object is never mutated.
+``epoch`` with :func:`dataclasses.replace`, so the stored object is
+never mutated (window plans carry no scope-local field and are adopted
+as they are).
 
 The store is bounded (LRU) and always on; tests swap in a private
 store with :func:`swapped_plan_store` to get isolated counters.

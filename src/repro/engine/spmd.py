@@ -6,28 +6,22 @@ of them, when ``n_workers`` is smaller than the machine) becomes a real
 worker executing the *already-compiled* routing schedules of
 :mod:`repro.engine.schedule`.
 
-Two execution paths share one worker pool and task protocol:
+The master compiles each fusion window — a run of statements with no
+cross-statement read/write overlap; a lone statement is the degenerate
+one-statement window — into one :class:`WindowTask` per worker.  All
+index arithmetic is done at compile time: iteration positions are
+lowered to flat Fortran-order storage indices, every peer's traffic is
+concatenated into one gather per (src worker, array) pair
+(:class:`~repro.engine.schedule.PeerPlan`, regrouped per worker), a
+contiguous block-face transfer becomes a zero-copy ``(lo, hi)`` window
+sliced straight out of the shared segment, and the whole window
+synchronizes on a **single phase barrier** separating every operand
+read from every owner-computes write (Fortran array semantics).
 
-* the **fused** path (default): the master compiles each fusion window
-  — a run of statements with no cross-statement read/write overlap —
-  into one :class:`WindowTask` per worker.  All index arithmetic is
-  done at compile time: iteration positions are lowered to flat
-  Fortran-order storage indices, every peer's traffic is concatenated
-  into one gather per (src worker, array) pair
-  (:class:`~repro.engine.schedule.PeerPlan`, regrouped per worker), a
-  contiguous block-face transfer becomes a zero-copy ``(lo, hi)``
-  window sliced straight out of the shared segment, and the whole
-  window synchronizes on a **single phase barrier** separating every
-  operand read from every owner-computes write (Fortran array
-  semantics);
-* the **unfused** path (``fused=False``): the historical per-statement
-  protocol — per-leaf fancy-index gathers against section views and a
-  gather/write barrier *pair* per statement — kept as the comparison
-  baseline the fused path is differentially tested (and benchmarked)
-  against.
-
-A third path rides on the fused plans: **worker-resident loop replay**
-(:meth:`SpmdExecutor.execute_loop`).  When the program runner proves a
+The same plans run two ways.  **Dispatch** (:meth:`SpmdExecutor.execute`
+/ :meth:`~SpmdExecutor.execute_all`) sends one message and awaits one
+ack round per window.  **Worker-resident loop replay**
+(:meth:`SpmdExecutor.execute_loop`): when the program runner proves a
 loop body trip-invariant (no remaps, no allocation flips — the IR's
 layout-epoch certificate), the ordered window serials are shipped once
 with a trip count and each worker replays all N trips locally: one
@@ -57,18 +51,17 @@ The simulator stays the cost oracle: accounting is charged through the
 same counting schedules and :func:`~repro.engine.executor.charge_schedule`
 path as :class:`~repro.engine.executor.SimulatedExecutor`, so the
 reported words matrices, ledger, pattern attribution and modeled time
-are bit-identical to the simulated run on both paths, while the numeric
+are bit-identical to the simulated run, while the numeric
 results are produced exclusively by the parallel workers and proven
 equal to the sequential reference by the differential harness.
 
-Compiled task descriptors are memoized per (layout epoch, schedule) and
-shipped to each worker once; steady-state statements (Jacobi iterations
-2..N) send only a small task key.
+Compiled window plans are memoized per routing-schedule set and shipped
+to each worker once; steady-state statements (Jacobi iterations 2..N)
+send only a small task key.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import mmap
 import multiprocessing
 import os
@@ -94,9 +87,8 @@ from repro.engine.schedule import schedule_for, unique_refs
 from repro.errors import MachineError
 from repro.machine.simulator import DistributedMachine
 
-__all__ = ["SenseBarrier", "SpmdExecutor", "WindowTask", "WorkerTask",
-           "RefGather", "OperandSpec", "PeerPull", "PeerTransfer",
-           "StmtPlan", "fusion_windows"]
+__all__ = ["SenseBarrier", "SpmdExecutor", "WindowTask", "OperandSpec",
+           "PeerPull", "PeerTransfer", "StmtPlan", "fusion_windows"]
 
 #: when set (``REPRO_DEBUG_WINDOWS=1``), every fusion window formed by
 #: :meth:`SpmdExecutor.execute_all` is re-checked for RAW/WAR conflicts
@@ -106,8 +98,8 @@ _DEBUG_WINDOWS = os.environ.get("REPRO_DEBUG_WINDOWS", "0") not in ("", "0")
 
 
 def fusion_windows(stmts: Iterable[Assignment]) -> list[list[Assignment]]:
-    """Partition a statement sequence into the fusion windows the fused
-    path executes: a statement joins the open window unless it reads an
+    """Partition a statement sequence into the fusion windows the
+    workers execute: a statement joins the open window unless it reads an
     array the window wrote (RAW) or writes an array the window read
     (WAR).  WAW overlap is allowed — writes apply in statement order on
     every worker and the canonical download is per statement, in order.
@@ -236,35 +228,6 @@ class SenseBarrier:
 # Task protocol (what the master ships, what a worker executes)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class RefGather:
-    """One RHS leaf's gather recipe for one worker: the section slicer
-    into the shared array plus ``(positions, slots)`` pairs — the
-    schedule's local split and the incoming route chunks, with the
-    precomputed slots into the worker's owned-iteration vector."""
-
-    name: str
-    slicer: tuple
-    parts: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-
-@dataclass(frozen=True)
-class WorkerTask:
-    """Everything one worker needs to execute one statement (the
-    unfused per-statement protocol)."""
-
-    serial: int
-    shape: tuple[int, ...]
-    lhs_name: str
-    lhs_slicer: tuple
-    lhs_dtype: np.dtype
-    #: iteration positions this worker's units own (sorted)
-    my_pos: np.ndarray
-    #: one gather recipe per unique RHS leaf, in first-occurrence order
-    refs: tuple[RefGather, ...]
-    rhs: Expr
-
-
-@dataclass(frozen=True)
 class OperandSpec:
     """One unique-leaf operand vector of one window statement."""
 
@@ -328,7 +291,6 @@ class WindowTask:
     single phase barrier: gather/compute every statement, barrier,
     write every statement."""
 
-    serial: int
     #: every array the window touches (flat views are taken once)
     names: tuple[str, ...]
     ops: tuple[OperandSpec, ...]
@@ -355,34 +317,6 @@ def _eval_vec(expr: Expr, operands: dict[int, np.ndarray]) -> Any:
             return a * b
         return a / b
     raise MachineError(f"cannot evaluate {expr!r}")
-
-
-def _run_task(task: WorkerTask, arrays: dict[str, np.ndarray],
-              barrier: Any) -> tuple[float, float]:
-    """One worker's share of one statement on the unfused path: gather,
-    barrier, write, barrier.  Returns (gather, write) phase seconds."""
-    t0 = perf_counter()
-    operands: dict[int, np.ndarray] = {}
-    for ref, rg in zip(unique_refs(task.rhs), task.refs):
-        view = arrays[rg.name][rg.slicer]
-        vec = np.empty(task.my_pos.size, dtype=np.asarray(view).dtype)
-        for positions, slots in rg.parts:
-            vec[slots] = view[np.unravel_index(positions, task.shape,
-                                               order="F")]
-        operands[id(ref)] = vec
-    result = _eval_vec(task.rhs, operands)
-    result = np.broadcast_to(result, (task.my_pos.size,)).astype(
-        task.lhs_dtype)
-    t_gather = perf_counter() - t0
-    barrier.wait(_BARRIER_TIMEOUT)   # every operand read before any write
-    t0 = perf_counter()
-    if task.my_pos.size:
-        view = arrays[task.lhs_name][task.lhs_slicer]
-        view[np.unravel_index(task.my_pos, task.shape,
-                              order="F")] = result
-    t_write = perf_counter() - t0
-    barrier.wait(_BARRIER_TIMEOUT)   # statement complete
-    return t_gather, t_write
 
 
 def _run_window(task: WindowTask, arrays: dict[str, np.ndarray],
@@ -469,64 +403,51 @@ def _replay_loop(windows: Sequence[WindowTask],
 def _worker_loop(endpoint: Any, barrier: Any,
                  arrays: dict[str, np.ndarray], rank: int = 0,
                  sense: np.ndarray | None = None) -> None:
-    """A worker's service loop: cached task table + the phase-barrier
-    statement protocol + the loop-replay protocol.  Runs as a forked
+    """A worker's service loop: cached plan table + the phase-barrier
+    window protocol + the loop-replay protocol.  Runs as a forked
     process or a thread.  ``sense`` is the process-mode replay-barrier
     segment; thread-mode replay reuses the pool barrier (spinning under
     the GIL is pathological)."""
-    tasks: dict[int, WorkerTask | WindowTask] = {}
+    tasks: dict[int, WindowTask] = {}
     rbarrier: Any = barrier if sense is None else SenseBarrier(
         sense, rank, (sense.size - 1) // _SENSE_STRIDE)
+
+    def cached(serial: int) -> WindowTask:
+        task = tasks.get(serial)
+        if task is None:
+            raise MachineError(f"worker has no cached task {serial}")
+        return task
+
     while True:
         msg = endpoint.recv()
         kind = msg[0]
         if kind == "stop":
             return
         if kind == "drop":
-            # master evicted/invalidated this task split; no ack (pipes
-            # are FIFO, so later exec messages order after the drop)
+            # master evicted/invalidated this plan; no ack (pipes are
+            # FIFO, so later exec messages order after the drop)
             tasks.pop(msg[1], None)
             continue
         if kind == "task":
-            # replay preload: cache without executing (no ack)
+            # plan shipment: cache without executing (no ack)
             tasks[msg[1]] = msg[2]
             continue
-        if kind == "loop":
-            _, loop_id, serials, trips = msg
-            try:
-                windows: list[WindowTask] = []
-                for serial in serials:
-                    cached_w = tasks.get(serial)
-                    if not isinstance(cached_w, WindowTask):
-                        raise MachineError(
-                            f"worker has no cached window task {serial}")
-                    windows.append(cached_w)
-                phases = _replay_loop(windows, arrays, rbarrier, trips)
-                endpoint.send(("ok", ("loop", loop_id), phases))
-            except (threading.BrokenBarrierError, _PeerAbortError):
-                endpoint.send(("err", _PEER_FAILED, None))
-            except Exception:
-                _abort_barriers(barrier, rbarrier)
-                endpoint.send(("err", traceback.format_exc(), None))
-            continue
-        _, serial, task = msg
-        if task is not None:
-            tasks[serial] = task
         try:
-            cached = tasks.get(serial)
-            if cached is None:
-                raise MachineError(f"worker has no cached task {serial}")
-            if isinstance(cached, WindowTask):
-                phases = _run_window(cached, arrays, barrier)
+            if kind == "loop":
+                _, loop_id, serials, trips = msg
+                ack: Any = ("loop", loop_id)
+                phases = _replay_loop([cached(s) for s in serials],
+                                      arrays, rbarrier, trips)
             else:
-                phases = _run_task(cached, arrays, barrier)
-            endpoint.send(("ok", serial, phases))
-        except threading.BrokenBarrierError:
-            # a peer aborted mid-statement: relay the real cause instead
-            # of an unrelated BrokenBarrierError traceback
+                _, ack = msg
+                phases = _run_window(cached(ack), arrays, barrier)
+            endpoint.send(("ok", ack, phases))
+        except (threading.BrokenBarrierError, _PeerAbortError):
+            # a peer aborted mid-window: relay the real cause instead of
+            # an unrelated BrokenBarrierError traceback
             endpoint.send(("err", _PEER_FAILED, None))
         except Exception:
-            # break peers out of the barrier so the statement fails fast
+            # break peers out of the barrier so the window fails fast
             _abort_barriers(barrier, rbarrier)
             endpoint.send(("err", traceback.format_exc(), None))
 
@@ -607,6 +528,8 @@ class _WorkerPool:
         self.n_workers = n_workers
         self.mode = _pick_mode(mode)
         self.broken: str | None = None
+        #: serials of the window plans the workers' caches hold
+        self.held: set[int] = set()
         self._mmaps: list[mmap.mmap] = []
         self.shared: dict[str, np.ndarray] = {}
         self._instances: dict[str, int] = {}
@@ -712,11 +635,12 @@ class _WorkerPool:
         if self.mode == "process":
             ds.arrays[name].data[slicer] = self.shared[name][slicer]
 
-    # -- statement execution -------------------------------------------
+    # -- the coordinator's side of the task protocol -------------------
     def drop_task(self, serial: int) -> None:
-        """Tell every worker to forget one cached task split (sent when
-        the master evicts or invalidates it, so worker memory tracks the
+        """Tell every worker to forget one cached plan (sent when the
+        master evicts or invalidates it, so worker memory tracks the
         master's bounded table)."""
+        self.held.discard(serial)
         if self.broken:
             return
         for endpoint in self._endpoints:
@@ -725,35 +649,33 @@ class _WorkerPool:
             except Exception:
                 pass
 
-    def run_statement(self, serial: int, tasks: Sequence[Any] | None
-                      ) -> dict[str, float]:
-        """Dispatch one statement (or fused window) to every worker and
-        await the acks.  ``tasks`` is shipped on the first use of a
-        schedule; later executions send only the serial (workers replay
-        their cache).  Returns the per-phase wall seconds, each phase
-        the max across workers."""
+    def _broadcast(self, what: str, msgs: Sequence[Any]) -> None:
+        """Send ``msgs[w]`` to worker ``w``; a pool already broken, or a
+        pipe that breaks now, is the documented close-and-retry
+        :class:`MachineError`."""
         if self.broken:
             raise MachineError(
                 f"SPMD worker pool is broken ({self.broken}); close() "
                 "and execute again to restart it")
         try:
-            for w, endpoint in enumerate(self._endpoints):
-                endpoint.send(("exec", serial,
-                               tasks[w] if tasks is not None else None))
+            for endpoint, msg in zip(self._endpoints, msgs):
+                endpoint.send(msg)
         except Exception as exc:
             self.broken = "dispatch failed"
             raise MachineError(
-                f"SPMD dispatch failed (worker pipe: {exc!r}); close() "
+                f"SPMD {what} failed (worker pipe: {exc!r}); close() "
                 "and execute again to restart the pool") from exc
+
+    def _collect(self, ack: Any, what: str) -> dict[str, float]:
+        """Await every worker's ``ack``; returns the per-phase wall
+        seconds, each phase the max across workers."""
         failures: list[str] = []
         t_gather = t_write = 0.0
         for w, endpoint in enumerate(self._endpoints):
-            while True:
+            status, detail, phases = self._recv(w, endpoint)
+            while status == "ok" and detail != ack:
+                # stale ack from an abandoned earlier statement
                 status, detail, phases = self._recv(w, endpoint)
-                if status == "ok" and detail != serial:
-                    # stale ack from an abandoned earlier statement
-                    continue
-                break
             if status != "ok":
                 failures.append(f"worker {w}: {detail}")
             elif phases is not None:
@@ -762,26 +684,23 @@ class _WorkerPool:
         if failures:
             self.broken = "worker error"
             raise MachineError(
-                "SPMD statement failed:\n" + "\n".join(failures))
+                f"SPMD {what} failed:\n" + "\n".join(failures))
         return {"gather": t_gather, "write": t_write}
 
-    # -- loop replay ---------------------------------------------------
     def send_task(self, serial: int, tasks: Sequence[WindowTask]) -> None:
-        """Preload one compiled window split into every worker's cache
-        without executing it (no ack; pipes are FIFO, so a later
-        ``loop`` message orders after the preload)."""
-        if self.broken:
-            raise MachineError(
-                f"SPMD worker pool is broken ({self.broken}); close() "
-                "and execute again to restart it")
-        try:
-            for w, endpoint in enumerate(self._endpoints):
-                endpoint.send(("task", serial, tasks[w]))
-        except Exception as exc:
-            self.broken = "dispatch failed"
-            raise MachineError(
-                f"SPMD task preload failed (worker pipe: {exc!r}); "
-                "close() and execute again to restart the pool") from exc
+        """Ship one compiled window plan into every worker's cache,
+        unless they hold it already, without executing it (no ack; pipes
+        are FIFO, so a later ``exec`` or ``loop`` message orders after
+        the shipment)."""
+        if serial not in self.held:
+            self._broadcast("task preload",
+                            [("task", serial, task) for task in tasks])
+            self.held.add(serial)
+
+    def run_statement(self, serial: int) -> dict[str, float]:
+        """Dispatch one shipped window and await every worker's ack."""
+        self._broadcast("dispatch", [("exec", serial)] * self.n_workers)
+        return self._collect(serial, "statement")
 
     def start_loop(self, loop_id: int, serials: Sequence[int],
                    trips: int) -> None:
@@ -789,42 +708,14 @@ class _WorkerPool:
         cached window ``serials``: one message per worker, after which
         the workers run ahead with zero coordinator traffic.  The single
         end-of-loop ack is collected by :meth:`finish_loop`."""
-        if self.broken:
-            raise MachineError(
-                f"SPMD worker pool is broken ({self.broken}); close() "
-                "and execute again to restart it")
-        try:
-            for endpoint in self._endpoints:
-                endpoint.send(("loop", loop_id, tuple(serials),
-                               int(trips)))
-        except Exception as exc:
-            self.broken = "dispatch failed"
-            raise MachineError(
-                f"SPMD replay dispatch failed (worker pipe: {exc!r}); "
-                "close() and execute again to restart the pool") from exc
+        self._broadcast(
+            "replay dispatch",
+            [("loop", loop_id, tuple(serials), int(trips))]
+            * self.n_workers)
 
     def finish_loop(self, loop_id: int) -> dict[str, float]:
-        """Await every worker's single end-of-loop ack; returns the
-        aggregated per-phase wall seconds (max across workers)."""
-        failures: list[str] = []
-        t_gather = t_write = 0.0
-        for w, endpoint in enumerate(self._endpoints):
-            while True:
-                status, detail, phases = self._recv(w, endpoint)
-                if status == "ok" and detail != ("loop", loop_id):
-                    # stale ack from an abandoned earlier statement
-                    continue
-                break
-            if status != "ok":
-                failures.append(f"worker {w}: {detail}")
-            elif phases is not None:
-                t_gather = max(t_gather, phases[0])
-                t_write = max(t_write, phases[1])
-        if failures:
-            self.broken = "worker error"
-            raise MachineError(
-                "SPMD replay loop failed:\n" + "\n".join(failures))
-        return {"gather": t_gather, "write": t_write}
+        """Await every worker's single end-of-loop ack."""
+        return self._collect(("loop", loop_id), "replay loop")
 
     def _recv(self, w: int, endpoint: Any) -> Any:
         if self.mode == "thread":
@@ -901,8 +792,8 @@ def _slots_spec(slots: np.ndarray) -> Any:
 
 
 def _compile_window(ds: DataSpace, route_scheds: Sequence[Any],
-                    stmts: Sequence[Assignment], p: int, w: int,
-                    serial: int) -> list[WindowTask]:
+                    stmts: Sequence[Assignment], p: int, w: int
+                    ) -> tuple[WindowTask, ...]:
     """Compile one fusion window into per-worker :class:`WindowTask`
     plans: regroup the schedules' unit-level
     :class:`~repro.engine.schedule.PeerPlan` transfers by worker, lower
@@ -1007,11 +898,11 @@ def _compile_window(ds: DataSpace, route_scheds: Sequence[Any],
             PeerTransfer(src_worker, tuple(pulls))
             for src_worker, pulls in sorted(by_src.items()))
         tasks.append(WindowTask(
-            serial=serial, names=names,
+            names=names,
             ops=tuple(OperandSpec(name, size, dtype, view)
                       for name, size, dtype, view in ops),
             transfers=transfers, stmts=tuple(plans)))
-    return tasks
+    return tuple(tasks)
 
 
 # ----------------------------------------------------------------------
@@ -1024,18 +915,16 @@ class SpmdExecutor:
     same constructor shape, the same :class:`ExecutionReport`, the same
     machine charges — but the numeric effect is produced by ``n_workers``
     concurrent workers executing the compiled routing schedules over
-    shared memory.  ``fused=True`` (default) runs the fused per-peer
-    transfer plans with one phase barrier per fusion window;
-    ``fused=False`` keeps the historical two-barrier per-statement
-    protocol.  Use as a context manager (or call :meth:`close`) to
-    release the worker pool; a closed executor transparently restarts
-    its pool on the next :meth:`execute`.
+    shared memory, one phase barrier per fusion window.  Use as a
+    context manager (or call :meth:`close`) to release the worker pool;
+    a closed executor transparently restarts its pool on the next
+    :meth:`execute`.
     """
 
     def __init__(self, ds: DataSpace, machine: DistributedMachine, *,
                  n_workers: int | None = None, mode: str = "auto",
                  strategy: str = "auto", use_overlap: bool = False,
-                 fused: bool = True, replay: bool = True) -> None:
+                 replay: bool = True) -> None:
         if machine.config.n_processors < ds.ap.size:
             raise MachineError(
                 f"machine has {machine.config.n_processors} processors "
@@ -1047,11 +936,10 @@ class SpmdExecutor:
         self.machine = machine
         self.strategy = strategy
         self.use_overlap = use_overlap
-        self.fused = bool(fused)
         #: whether :meth:`execute_loop` may compile trip-invariant loops
-        #: into worker-resident replay programs (needs the fused plans)
+        #: into worker-resident replay programs
         self.replay = bool(replay)
-        #: pool dispatches (statement or window) — the golden
+        #: pool dispatches (one per window) — the golden
         #: replay-refusal tests assert a refused loop falls back here
         self.dispatch_count = 0
         #: worker-resident loops replayed
@@ -1068,7 +956,6 @@ class SpmdExecutor:
         #: are id(routing schedule) tuples, pinning the schedule objects
         #: so ids stay unique while cached
         self._tasks: dict[Any, Any] = {}
-        self._sent: set[int] = set()
         self._serial = 0
         #: guards the task-split LRU (and the serial counter): the
         #: serving stack executes sessions from multiple threads, and
@@ -1092,29 +979,23 @@ class SpmdExecutor:
         """Stop the workers and release the shared buffers (idempotent).
         The next :meth:`execute` forks a fresh pool over the then-current
         arrays."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        self._restart_pool()
         with self._lock:
             self._tasks.clear()
-            self._sent.clear()
 
     def _restart_pool(self) -> None:
-        """Replace the worker pool without dropping the compiled task
-        splits: the master-side plans (and their serials) survive, only
-        the workers' caches are gone — every split is re-shipped on its
+        """Replace the worker pool without dropping the compiled window
+        plans: the master-side plans (and their serials) survive, only
+        the workers' caches are gone — every plan is re-shipped on its
         next use."""
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-        with self._lock:
-            self._sent.clear()
 
     # ------------------------------------------------------------------
     def _ensure_pool(self) -> _WorkerPool:
         if self._pool is None:
             self._pool = _WorkerPool(self.ds, self.n_workers, self.mode)
-            self._sent.clear()
         return self._pool
 
     @property
@@ -1131,9 +1012,9 @@ class SpmdExecutor:
             pool.upload(self.ds, name)
 
     def _prepare(self, names: Iterable[str]) -> _WorkerPool:
-        """Pool coverage + array binding shared by both execution paths.
+        """Pool coverage + array binding, shared by dispatch and replay.
 
-        Layout mutations need no sweep here: task splits are keyed on
+        Layout mutations need no sweep here: window plans are keyed on
         the *identity* of routing-schedule objects pinned in the LRU, and
         a REDISTRIBUTE/REALIGN/DEALLOCATE drops the affected schedules
         from the :class:`~repro.core.dataspace.ScheduleCache`, so the
@@ -1159,27 +1040,20 @@ class SpmdExecutor:
 
     # ------------------------------------------------------------------
     def execute(self, stmt: Assignment, tag: str = "") -> ExecutionReport:
-        """Run one assignment on the workers; returns the same report —
-        and leaves the machine in the same state — as the simulator."""
-        if self.fused:
-            return self._execute_window([stmt], tag)[0]
-        return self._execute_legacy(stmt, tag)
+        """Run one assignment on the workers (a one-statement window);
+        returns the same report — and leaves the machine in the same
+        state — as the simulator."""
+        return self._execute_window([stmt], tag)[0]
 
     def execute_all(self, stmts: Iterable[Assignment], tag: str = ""
                     ) -> list[ExecutionReport]:
-        """Run a statement sequence.  On the fused path, consecutive
-        statements with no cross-statement read/write overlap form one
-        fusion window executed under a single phase barrier (a
-        statement's own LHS-in-RHS overlap stays within its window: the
-        barrier orders its reads before its writes)."""
-        stmts = list(stmts)
-        if not self.fused:
-            return [self._execute_legacy(s, tag) for s in stmts]
+        """Run a statement sequence.  Consecutive statements with no
+        cross-statement read/write overlap form one fusion window
+        executed under a single phase barrier (a statement's own
+        LHS-in-RHS overlap stays within its window: the barrier orders
+        its reads before its writes)."""
         reports: list[ExecutionReport] = []
-        for window in fusion_windows(stmts):
-            if _DEBUG_WINDOWS:
-                from repro.engine.analysis import assert_window_race_free
-                assert_window_race_free(window)
+        for window in self._windows(stmts):
             reports.extend(self._execute_window(window, tag))
         return reports
 
@@ -1194,7 +1068,7 @@ class SpmdExecutor:
         workers run ahead, so the returned reports — and the machine
         state — are bit-identical to ``trips`` consecutive
         :meth:`execute_all` calls (which is also the literal fallback
-        when ``fused`` or ``replay`` is off).
+        when ``replay`` is off).
 
         The *caller* owns replay legality: only hand a body here when
         its loop is proven trip-invariant
@@ -1205,45 +1079,22 @@ class SpmdExecutor:
         stmts = list(stmts)
         if trips <= 0 or not stmts:
             return []
-        if not (self.fused and self.replay):
+        if not self.replay:
             reports: list[ExecutionReport] = []
             for _ in range(trips):
                 reports.extend(self.execute_all(stmts, tag))
             return reports
         t0 = perf_counter()
-        ds = self.ds
-        p = self.machine.config.n_processors
-        windows = fusion_windows(stmts)
-        if _DEBUG_WINDOWS:
-            from repro.engine.analysis import assert_window_race_free
-            for window in windows:
-                assert_window_race_free(window)
+        windows = self._windows(stmts)
         # compile every window's routing + counting schedules once —
         # trip invariance makes trip 0's schedules valid for all trips
-        names: set[str] = set()
-        win_routes: list[list[Any]] = []
-        win_counts: list[list[Any]] = []
-        for window in windows:
-            route_scheds: list[Any] = []
-            count_scheds: list[Any] = []
-            for stmt in window:
-                stmt.validate(ds)
-                route_scheds.append(
-                    schedule_for(ds, stmt, p, routing=True))
-                count_scheds.append(
-                    schedule_for(ds, stmt, p, strategy=self.strategy,
-                                 use_overlap=self.use_overlap))
-                names.add(stmt.lhs.name)
-                names.update(r.name for r in stmt.rhs.refs())
-            win_routes.append(route_scheds)
-            win_counts.append(count_scheds)
-        pool = self._prepare(names)
+        compiled = [self._compile(window) for window in windows]
+        pool = self._prepare(
+            {name for _, _, names in compiled for name in names})
         serials: list[int] = []
-        for window, routes in zip(windows, win_routes):
-            serial, tasks = self._window_tasks_for(routes, window)
-            if serial not in self._sent:
-                pool.send_task(serial, tasks)
-                self._sent.add(serial)
+        for window, (routes, _, _) in zip(windows, compiled):
+            serial, tasks = self._plans_for(routes, window, serials)
+            pool.send_task(serial, tasks)
             serials.append(serial)
         with self._lock:
             loop_id = self._serial
@@ -1256,22 +1107,13 @@ class SpmdExecutor:
         # progress)
         loop_reports: list[ExecutionReport] = []
         for _ in range(trips):
-            for counts in win_counts:
-                first = True
-                for cs in counts:
-                    report = charge_schedule(self.machine, cs, tag,
-                                             accountant=self.accountant)
-                    # two SenseBarrier crossings per window per trip:
-                    # the pre-write phase barrier + the post-write
-                    # crossing replacing the coordinator ack round
-                    report.barrier_count = 2 if first else 0
-                    first = False
-                    loop_reports.append(report)
+            for _, counts, _ in compiled:
+                # two SenseBarrier crossings per window per trip: the
+                # pre-write phase barrier + the post-write crossing
+                # replacing the coordinator ack round
+                loop_reports.extend(self._charge(counts, tag, 2))
         phases = pool.finish_loop(loop_id)
-        for window in windows:
-            for stmt in window:
-                pool.download(ds, stmt.lhs.name,
-                              section_slicer(stmt.lhs.section(ds)))
+        self._download(pool, stmts)
         wall = perf_counter() - t0
         for report in loop_reports:
             report.wall_s = wall / len(loop_reports)
@@ -1280,38 +1122,21 @@ class SpmdExecutor:
         return loop_reports
 
     # ------------------------------------------------------------------
-    def _execute_legacy(self, stmt: Assignment, tag: str
-                        ) -> ExecutionReport:
-        """The unfused per-statement path: per-leaf gathers and a
-        gather/write barrier pair."""
-        t0 = perf_counter()
-        ds = self.ds
-        p = self.machine.config.n_processors
-        stmt.validate(ds)
-        route_sched = schedule_for(ds, stmt, p, routing=True)
-        count_sched = schedule_for(ds, stmt, p, strategy=self.strategy,
-                                   use_overlap=self.use_overlap)
-        names = {stmt.lhs.name, *(r.name for r in stmt.rhs.refs())}
-        pool = self._prepare(names)
-        serial, tasks = self._tasks_for(route_sched, stmt)
-        first = serial not in self._sent
-        self.dispatch_count += 1
-        phases = pool.run_statement(serial, tasks if first else None)
-        self._sent.add(serial)
-        pool.download(ds, stmt.lhs.name,
-                      section_slicer(stmt.lhs.section(ds)))
-        report = charge_schedule(self.machine, count_sched, tag,
-                                 accountant=self.accountant)
-        report.wall_s = perf_counter() - t0
-        report.barrier_count = 2
-        report.per_phase_wall = phases
-        return report
+    @staticmethod
+    def _windows(stmts: Iterable[Assignment]) -> list[list[Assignment]]:
+        windows = fusion_windows(stmts)
+        if _DEBUG_WINDOWS:
+            from repro.engine.analysis import assert_window_race_free
+            for window in windows:
+                assert_window_race_free(window)
+        return windows
 
-    def _execute_window(self, stmts: Sequence[Assignment], tag: str
-                        ) -> list[ExecutionReport]:
-        """The fused path: one dispatch, one phase barrier, one ack
-        round for a whole fusion window."""
-        t0 = perf_counter()
+    def _compile(self, stmts: Sequence[Assignment]
+                 ) -> tuple[list[Any], list[Any], set[str]]:
+        """One window's compile prologue: validate every statement and
+        fetch its routing schedule (what the workers execute) and its
+        counting schedule (what the coordinator charges); returns them
+        with the array names the window touches."""
         ds = self.ds
         p = self.machine.config.n_processors
         route_scheds: list[Any] = []
@@ -1325,136 +1150,101 @@ class SpmdExecutor:
                              use_overlap=self.use_overlap))
             names.add(stmt.lhs.name)
             names.update(r.name for r in stmt.rhs.refs())
-        pool = self._prepare(names)
-        serial, tasks = self._window_tasks_for(route_scheds, stmts)
-        first = serial not in self._sent
-        self.dispatch_count += 1
-        phases = pool.run_statement(serial, tasks if first else None)
-        self._sent.add(serial)
-        for stmt in stmts:
-            pool.download(ds, stmt.lhs.name,
-                          section_slicer(stmt.lhs.section(ds)))
-        # accounting is charged per statement in program order — the
-        # simulator's exact deposits, independent of the fused numerics
+        return route_scheds, count_scheds, names
+
+    def _charge(self, count_scheds: Sequence[Any], tag: str,
+                barriers: int) -> list[ExecutionReport]:
+        """Charge one window's counting schedules in program order — the
+        simulator's exact deposits, independent of the fused numerics —
+        booking the window's barrier crossings on its first report."""
         reports = [charge_schedule(self.machine, cs, tag,
                                    accountant=self.accountant)
                    for cs in count_scheds]
+        reports[0].barrier_count = barriers
+        return reports
+
+    def _download(self, pool: _WorkerPool,
+                  stmts: Iterable[Assignment]) -> None:
+        """Copy every written section back into the canonical arrays."""
+        for stmt in stmts:
+            pool.download(self.ds, stmt.lhs.name,
+                          section_slicer(stmt.lhs.section(self.ds)))
+
+    def _execute_window(self, stmts: Sequence[Assignment], tag: str
+                        ) -> list[ExecutionReport]:
+        """Dispatch one fusion window: one message, one phase barrier,
+        one ack round."""
+        t0 = perf_counter()
+        route_scheds, count_scheds, names = self._compile(stmts)
+        pool = self._prepare(names)
+        serial, tasks = self._plans_for(route_scheds, stmts)
+        pool.send_task(serial, tasks)
+        self.dispatch_count += 1
+        phases = pool.run_statement(serial)
+        self._download(pool, stmts)
+        reports = self._charge(count_scheds, tag, 1)
         wall = perf_counter() - t0
         for report in reports:
             report.wall_s = wall / len(reports)
-        reports[0].barrier_count = 1    # the window's single barrier
         reports[0].per_phase_wall = phases
         return reports
 
     # ------------------------------------------------------------------
-    def _evict_to_fit(self) -> None:
-        while len(self._tasks) >= _TASK_CACHE_MAX:
-            old_serial, _, _ = self._tasks.pop(next(iter(self._tasks)))
+    def _evict_to_fit(self, pinned: Sequence[int]) -> None:
+        """Evict least-recently-used plans down to the table bound,
+        skipping ``pinned`` serials: the windows of the replay loop being
+        assembled must still be in the workers' caches when its ``loop``
+        message lands, so a body wider than the bound overfills the
+        table until the next eviction trims it."""
+        for key in list(self._tasks):
+            if len(self._tasks) < _TASK_CACHE_MAX:
+                return
+            serial = self._tasks[key][0]
+            if serial in pinned:
+                continue
+            del self._tasks[key]
             if self._pool is not None:
-                self._pool.drop_task(old_serial)
-            self._sent.discard(old_serial)
+                self._pool.drop_task(serial)
 
-    def _window_tasks_for(self, route_scheds: Sequence[Any],
-                          stmts: Sequence[Assignment]
-                          ) -> tuple[int, list[WindowTask]]:
-        """The per-worker window plans of one fusion window, memoized on
-        the routing-schedule objects (Jacobi iterations 2..N reuse
-        them).  Shares the LRU table (and its bound) with the unfused
-        splits."""
-        key = ("w",) + tuple(id(rs) for rs in route_scheds)
+    def _plans_for(self, route_scheds: Sequence[Any],
+                   stmts: Sequence[Assignment], pinned: Sequence[int] = ()
+                   ) -> tuple[int, tuple[WindowTask, ...]]:
+        """The per-worker plans of one fusion window, memoized on the
+        routing-schedule objects (Jacobi iterations 2..N reuse them) in
+        a table LRU-bounded at ``_TASK_CACHE_MAX``; evictions also drop
+        the plan from every worker's cache."""
+        key = tuple(id(rs) for rs in route_scheds)
         with self._lock:
             hit = self._tasks.get(key)
             if hit is not None:
                 self._tasks[key] = self._tasks.pop(key)   # LRU refresh
                 return hit[0], hit[1]
-            self._evict_to_fit()
+            self._evict_to_fit(pinned)
             serial = self._serial
             self._serial += 1
         # cross-session sharing: window plans are content-addressed in
         # the process-wide plan store by the routing schedules' content
         # keys plus the worker split, the same way the schedules
-        # themselves are.  An adopted plan only needs its executor-local
-        # serial re-stamped (plans are otherwise scope-independent:
-        # layouts and domains are pinned by the content keys).
+        # themselves are (plans are scope-independent: layouts and
+        # domains are pinned by the content keys, and the serial is the
+        # executor's own handle, never part of the plan).
         store = getattr(self.ds, "plan_store", None)
         if store is None:   # explicit: an empty store is len-0 falsy
             store = active_plan_store()
-        content = None
+        p = self.machine.config.n_processors
+        content: tuple | None = None
+        tasks: tuple[WindowTask, ...] | None = None
         if store is not None:
             plan_keys = tuple(getattr(rs, "plan_key", None)
                               for rs in route_scheds)
             if all(k is not None for k in plan_keys):
-                content = ("wtask", plan_keys,
-                           self.machine.config.n_processors,
-                           self.n_workers)
-                shared = store.get(content)
-                if shared is not None:
-                    tasks = [dataclasses.replace(t, serial=serial)
-                             for t in shared]
-                    with self._lock:
-                        self._tasks[key] = (serial, tasks,
-                                            tuple(route_scheds))
-                    return serial, tasks
-        tasks = _compile_window(self.ds, route_scheds, stmts,
-                                self.machine.config.n_processors,
-                                self.n_workers, serial)
+                content = ("wtask", plan_keys, p, self.n_workers)
+                tasks = store.get(content)
+        if tasks is None:
+            tasks = _compile_window(self.ds, route_scheds, stmts, p,
+                                    self.n_workers)
+            if content is not None:
+                store.put(content, tasks)
         with self._lock:
             self._tasks[key] = (serial, tasks, tuple(route_scheds))
-        if content is not None:
-            store.put(content, tuple(
-                dataclasses.replace(t, serial=-1) for t in tasks))
-        return serial, tasks
-
-    def _tasks_for(self, route_sched: Any, stmt: Assignment
-                   ) -> tuple[int, list[WorkerTask]]:
-        """The per-worker task split of one routing schedule (unfused
-        path), memoized on the schedule object.  The table is
-        LRU-bounded at ``_TASK_CACHE_MAX``; evictions also drop the
-        split from every worker's cache."""
-        with self._lock:
-            hit = self._tasks.get(id(route_sched))
-            if hit is not None:
-                # LRU refresh
-                self._tasks[id(route_sched)] = self._tasks.pop(
-                    id(route_sched))
-                return hit[0], hit[1]
-            self._evict_to_fit()
-        ds = self.ds
-        p = route_sched.n_processors
-        w = self.n_workers
-        # contiguous unit -> worker grouping (identity when W == P)
-        wmap = (np.arange(p, dtype=np.int64) * w) // p
-        wdst = wmap[route_sched.lhs_owner_flat]
-        shape = route_sched.iteration_shape
-        lhs_slicer = section_slicer(stmt.lhs.section(ds))
-        lhs_dtype = ds.arrays[stmt.lhs.name].dtype
-        with self._lock:
-            serial = self._serial
-            self._serial += 1
-        tasks: list[WorkerTask] = []
-        leaves = unique_refs(stmt.rhs)
-        for worker in range(w):
-            mask = wdst == worker
-            my_pos = np.nonzero(mask)[0]
-            refs: list[RefGather] = []
-            for ref, route in zip(leaves, route_sched.routes):
-                parts: list[tuple[np.ndarray, np.ndarray]] = []
-                local_pos = np.nonzero(route.local_mask & mask)[0]
-                if local_pos.size:
-                    parts.append(
-                        (local_pos, np.searchsorted(my_pos, local_pos)))
-                for _, dst_unit, positions in route.chunks:
-                    if wmap[dst_unit] == worker and positions.size:
-                        parts.append(
-                            (positions,
-                             np.searchsorted(my_pos, positions)))
-                refs.append(RefGather(ref.name,
-                                      section_slicer(ref.section(ds)),
-                                      tuple(parts)))
-            tasks.append(WorkerTask(
-                serial=serial, shape=tuple(shape), lhs_name=stmt.lhs.name,
-                lhs_slicer=lhs_slicer, lhs_dtype=lhs_dtype, my_pos=my_pos,
-                refs=tuple(refs), rhs=stmt.rhs))
-        with self._lock:
-            self._tasks[id(route_sched)] = (serial, tasks, route_sched)
         return serial, tasks

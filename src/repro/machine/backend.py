@@ -12,14 +12,13 @@ The engine has two ways to execute a program against a machine:
 :class:`Backend` is the one public spec for choosing between them::
 
     Session(16, backend=Backend.simulate())
-    Session(16, backend=Backend.spmd(workers=4, mode="fork", fused=True))
+    Session(16, backend=Backend.spmd(workers=4, mode="fork"))
 
 Both constructors return a frozen :class:`BackendConfig`; every front
 door (``Session``, ``run_program``, the CLI, the bench harness)
-resolves its spec through :func:`resolve_backend`.  The historical
-stringly surface — ``backend="spmd"`` plus loose ``n_workers=``/
-``mode=`` kwargs — still works but emits a :class:`DeprecationWarning`
-(the same shim policy as the ``repro`` top-level re-exports).
+resolves its spec through :func:`resolve_backend`; the CLI and the
+wire protocol, whose inputs are kind *strings*, convert them to
+:class:`Backend` specs at the edge.
 
 This module lives in the machine layer but instantiates engine classes
 lazily inside :func:`make_executor`, keeping the machine package
@@ -29,7 +28,6 @@ simulator already follows).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.errors import MachineError
@@ -58,10 +56,6 @@ class BackendConfig:
     strategy: str = "auto"
     #: charge shift stencils as ghost-region exchanges
     use_overlap: bool = False
-    #: SPMD: execute fused per-peer transfer plans with one phase
-    #: barrier per fusion window (False: the per-statement two-barrier
-    #: comparison baseline)
-    fused: bool = True
     #: SPMD: compile proven trip-invariant loops into worker-resident
     #: replay programs (False: every trip is dispatched per window —
     #: the escape hatch when replay must be ruled out while debugging)
@@ -77,8 +71,7 @@ class BackendConfig:
         ``replay`` is included: a replaying executor advances its
         sense-barrier generations, so it must not share a pool with a
         non-replaying dispatcher."""
-        return (self.kind, self.n_workers, self.mode, self.fused,
-                self.replay)
+        return (self.kind, self.n_workers, self.mode, self.replay)
 
     def __post_init__(self) -> None:
         if self.kind not in BACKENDS:
@@ -114,36 +107,27 @@ class Backend:
 
     @staticmethod
     def spmd(workers: int | None = None, *, mode: str = "auto",
-             fused: bool = True, replay: bool = True,
-             strategy: str = "auto",
+             replay: bool = True, strategy: str = "auto",
              use_overlap: bool = False) -> BackendConfig:
         """Real parallel workers over shared memory.  ``mode`` picks the
         pool substrate (``'fork'``/``'process'``, ``'thread'``, or
-        ``'auto'``); ``fused=False`` selects the per-statement
-        two-barrier baseline instead of the fused per-peer plans;
-        ``replay=False`` disables worker-resident loop replay (every
-        trip dispatches per window even for trip-invariant loops)."""
+        ``'auto'``); ``replay=False`` disables worker-resident loop
+        replay (every trip dispatches per window even for trip-invariant
+        loops)."""
         return BackendConfig(kind="spmd", n_workers=workers, mode=mode,
                              strategy=strategy, use_overlap=use_overlap,
-                             fused=fused, replay=replay)
+                             replay=replay)
 
 
 def resolve_backend(spec) -> BackendConfig:
     """Coerce a backend spec to a :class:`BackendConfig`.
 
-    ``None`` means :meth:`Backend.simulate`; configs pass through; a
-    bare kind string still resolves but is deprecated in favor of the
-    :class:`Backend` constructors."""
+    ``None`` means :meth:`Backend.simulate`; configs pass through;
+    anything else (a bare kind string included) is rejected."""
     if spec is None:
         return BackendConfig()
     if isinstance(spec, BackendConfig):
         return spec
-    if isinstance(spec, str):
-        warnings.warn(
-            f"string backend specs are deprecated; use "
-            f"Backend.{spec}() (from repro import Backend) instead of "
-            f"backend={spec!r}", DeprecationWarning, stacklevel=3)
-        return BackendConfig(kind=spec)
     raise MachineError(f"bad backend spec {spec!r}")
 
 
@@ -160,5 +144,4 @@ def make_executor(ds, machine, backend=None):
     from repro.engine.spmd import SpmdExecutor
     return SpmdExecutor(ds, machine, n_workers=config.n_workers,
                         mode=config.mode, strategy=config.strategy,
-                        use_overlap=config.use_overlap,
-                        fused=config.fused, replay=config.replay)
+                        use_overlap=config.use_overlap, replay=config.replay)

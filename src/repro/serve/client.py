@@ -53,7 +53,7 @@ class ServiceClient:
 
     def run_source(self, source: str, *, processors: int = 4,
                    backend: str = "simulate", workers: int | None = None,
-                   mode: str = "auto", fused: bool = True, opt: int = 0,
+                   mode: str = "auto", opt: int = 0,
                    defines: dict | None = None,
                    timeout: float | None = None) -> dict:
         """Submit a directive program for execution on the service.
@@ -66,8 +66,7 @@ class ServiceClient:
         reply = self.request({
             "op": "run", "source": source, "processors": processors,
             "backend": backend, "workers": workers, "mode": mode,
-            "fused": fused, "opt": opt, "defines": defines or {},
-            "timeout": timeout,
+            "opt": opt, "defines": defines or {}, "timeout": timeout,
         })
         if not reply.get("ok"):
             raise RuntimeError(f"service error: {reply.get('error')}")

@@ -309,8 +309,7 @@ def _handle_run(service: SessionService, params: dict) -> dict:
 
     if params.get("backend", "simulate") == "spmd":
         backend = Backend.spmd(workers=params.get("workers"),
-                               mode=params.get("mode", "auto"),
-                               fused=params.get("fused", True))
+                               mode=params.get("mode", "auto"))
     else:
         backend = Backend.simulate()
     store = service.store

@@ -3,15 +3,13 @@
 A seeded generator draws ~50 programs — random shapes, BLOCK /
 BLOCK(m) / CYCLIC / CYCLIC(k) / GENERAL_BLOCK / REPLICATED layouts,
 random offset alignments, random RHS sections and expression shapes —
-and each case is executed six ways from identical initial data:
+and each case is executed five ways from identical initial data:
 
 * the sequential reference semantics (ground truth);
 * :class:`SimulatedExecutor` (counting matrices, lowered time model);
 * :class:`MessageAccurateExecutor` (explicit payload routing);
-* :class:`SpmdExecutor` with fused per-peer transfer plans (one phase
-  barrier per fusion window, zero-copy face windows where legal);
-* :class:`SpmdExecutor` unfused (the per-statement two-barrier
-  baseline);
+* :class:`SpmdExecutor` dispatching fused per-peer transfer plans (one
+  phase barrier per fusion window, zero-copy face windows where legal);
 * :class:`SpmdExecutor` through the worker-resident loop-replay
   protocol (:meth:`~repro.engine.spmd.SpmdExecutor.execute_loop` —
   preloaded window plans, one ``loop`` dispatch, coordinator
@@ -29,13 +27,13 @@ payload executor's documented semantics).  This is the harness proving
 pattern lowering and the SPMD backend preserve both numerics and
 message-count semantics.
 
-The same 50 seeds additionally run 6-way through the optimizer
-pipeline: reference == simulated == SPMD-unfused == SPMD-fused ==
-SPMD-replay at ``-O0`` == ``-O2`` —
-numerics and per-statement report attribution are opt-level invariant,
-the ``-O2`` machine never moves *more* than ``-O0``, and the simulated
-and SPMD machines stay bit-identical to each other at ``-O2`` (both
-accountants make the same decisions over the same statement stream).
+The same 50 seeds additionally run 5-way through the optimizer
+pipeline: reference == simulated == SPMD-dispatch == SPMD-replay at
+``-O0`` == ``-O2`` — numerics and per-statement report attribution are
+opt-level invariant, the ``-O2`` machine never moves *more* than
+``-O0``, and the simulated and SPMD machines stay bit-identical to each
+other at ``-O2`` (both accountants make the same decisions over the
+same statement stream).
 """
 
 from __future__ import annotations
@@ -168,7 +166,6 @@ def test_differential_random_program(seed):
     ds_sim = _materialize(case)
     ds_msg = _materialize(case)
     ds_spmd = _materialize(case)
-    ds_spmd_uf = _materialize(case)
 
     execute_sequential(ds_ref, stmt)
 
@@ -182,11 +179,6 @@ def test_differential_random_program(seed):
     with SpmdExecutor(ds_spmd, machine_spmd, mode="thread") as spmd:
         spmd_report = spmd.execute(stmt)
 
-    machine_spmd_uf = DistributedMachine(MachineConfig(p))
-    with SpmdExecutor(ds_spmd_uf, machine_spmd_uf, mode="thread",
-                      fused=False) as spmd_uf:
-        spmd_uf_report = spmd_uf.execute(stmt)
-
     ds_spmd_rp = _materialize(case)
     machine_spmd_rp = DistributedMachine(MachineConfig(p))
     with SpmdExecutor(ds_spmd_rp, machine_spmd_rp, mode="thread") as spmd_rp:
@@ -194,15 +186,13 @@ def test_differential_random_program(seed):
         assert spmd_rp.replay_count == 1
         assert spmd_rp.dispatch_count == 0
 
-    # fused = one phase barrier per window; unfused = the two-barrier
-    # per-statement baseline; replay = two phase crossings per window
-    # per trip (compute-ready + post-write)
+    # dispatch = one phase barrier per window; replay = two phase
+    # crossings per window per trip (compute-ready + post-write)
     assert spmd_report.barrier_count == 1
-    assert spmd_uf_report.barrier_count == 2
     assert spmd_rp_report.barrier_count == 2
 
-    # numerics: payload-routed and SPMD-parallel execution (both fusion
-    # modes) == sequential reference, for every array (untouched arrays
+    # numerics: payload-routed and SPMD-parallel execution (dispatched
+    # and replayed) == sequential reference, for every array (untouched arrays
     # stay untouched)
     for name in ds_ref.arrays:
         np.testing.assert_array_equal(
@@ -214,10 +204,6 @@ def test_differential_random_program(seed):
         np.testing.assert_array_equal(
             ds_spmd.arrays[name].data, ds_ref.arrays[name].data,
             err_msg=f"seed {seed}: fused SPMD numerics diverge on {name}")
-        np.testing.assert_array_equal(
-            ds_spmd_uf.arrays[name].data, ds_ref.arrays[name].data,
-            err_msg=f"seed {seed}: unfused SPMD numerics diverge "
-                    f"on {name}")
         np.testing.assert_array_equal(
             ds_spmd_rp.arrays[name].data, ds_ref.arrays[name].data,
             err_msg=f"seed {seed}: replayed SPMD numerics diverge "
@@ -240,18 +226,6 @@ def test_differential_random_program(seed):
     assert spmd_report.patterns == sim_report.patterns
     assert machine_spmd.stats.pattern_words == \
         machine_sim.stats.pattern_words
-
-    # the unfused baseline charges identically too — fusion is a pure
-    # execution-strategy change, invisible to the accounting seam
-    np.testing.assert_array_equal(
-        spmd_uf_report.words, sim_report.words,
-        err_msg=f"seed {seed}: unfused SPMD words diverge from simulated")
-    np.testing.assert_array_equal(machine_spmd_uf.stats.words_sent,
-                                  machine_sim.stats.words_sent)
-    np.testing.assert_array_equal(machine_spmd_uf.stats.msgs_sent,
-                                  machine_sim.stats.msgs_sent)
-    assert machine_spmd_uf.elapsed == machine_sim.elapsed
-    assert spmd_uf_report.patterns == sim_report.patterns
 
     # the replay path charges the same trip-invariant counting schedule
     # from the coordinator while the workers run ahead — accounting is
@@ -291,9 +265,9 @@ def test_differential_random_program(seed):
     assert comm_elapsed <= p2p_total + 1e-9
 
     # ------------------------------------------------------------------
-    # 6-way: the same case through the optimizer pipeline at -O2, on
-    # the simulated backend, both SPMD fusion modes, and the SPMD
-    # loop-replay path
+    # 5-way: the same case through the optimizer pipeline at -O2, on
+    # the simulated backend, SPMD dispatch, and the SPMD loop-replay
+    # path
     # ------------------------------------------------------------------
     from repro.engine.passes import OptimizingAccountant
 
@@ -311,15 +285,6 @@ def test_differential_random_program(seed):
         spmd2_report = spmd2.execute(stmt)
         spmd2.accountant.flush()
 
-    ds_spmd2_uf = _materialize(case)
-    machine_spmd2_uf = DistributedMachine(MachineConfig(p))
-    with SpmdExecutor(ds_spmd2_uf, machine_spmd2_uf, mode="thread",
-                      fused=False) as spmd2_uf:
-        spmd2_uf.accountant = OptimizingAccountant(
-            ds_spmd2_uf, machine_spmd2_uf, 2)
-        spmd2_uf.execute(stmt)
-        spmd2_uf.accountant.flush()
-
     ds_spmd2_rp = _materialize(case)
     machine_spmd2_rp = DistributedMachine(MachineConfig(p))
     with SpmdExecutor(ds_spmd2_rp, machine_spmd2_rp,
@@ -330,7 +295,7 @@ def test_differential_random_program(seed):
         assert spmd2_rp.replay_count == 1
         spmd2_rp.accountant.flush()
 
-    # numerics are opt-level, backend and fusion-mode invariant
+    # numerics are opt-level and backend invariant
     for name in ds_ref.arrays:
         np.testing.assert_array_equal(
             ds_o2.arrays[name].data, ds_ref.arrays[name].data,
@@ -338,9 +303,6 @@ def test_differential_random_program(seed):
         np.testing.assert_array_equal(
             ds_spmd2.arrays[name].data, ds_ref.arrays[name].data,
             err_msg=f"seed {seed}: -O2 fused SPMD numerics diverge")
-        np.testing.assert_array_equal(
-            ds_spmd2_uf.arrays[name].data, ds_ref.arrays[name].data,
-            err_msg=f"seed {seed}: -O2 unfused SPMD numerics diverge")
         np.testing.assert_array_equal(
             ds_spmd2_rp.arrays[name].data, ds_ref.arrays[name].data,
             err_msg=f"seed {seed}: -O2 replayed SPMD numerics diverge")
@@ -363,9 +325,6 @@ def test_differential_random_program(seed):
     assert spmd2_report.words_by_pattern() == o2_report.words_by_pattern()
     assert machine_spmd2.stats.opt_words_saved == \
         machine_o2.stats.opt_words_saved
-    np.testing.assert_array_equal(machine_spmd2_uf.stats.words_sent,
-                                  machine_o2.stats.words_sent)
-    assert machine_spmd2_uf.elapsed == machine_o2.elapsed
     np.testing.assert_array_equal(machine_spmd2_rp.stats.words_sent,
                                   machine_o2.stats.words_sent)
     assert machine_spmd2_rp.elapsed == machine_o2.elapsed

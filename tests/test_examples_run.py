@@ -1,16 +1,6 @@
 """Every example script must run cleanly (they are part of the public
-deliverable; this keeps them from rotting).
+deliverable; this keeps them from rotting)."""
 
-Examples run with DeprecationWarnings forced visible
-(``PYTHONWARNINGS=always``: the default filter hides them outside
-``__main__``) and the run fails if the repro shim message appears on
-stderr: the examples are rewritten on the Session API, so neither they
-nor library-internal code may lean on the deprecated top-level
-re-exports.  (A ``module=`` filter cannot express this — the warnings
-machinery matches it against origin file paths — hence the stderr
-scan.)"""
-
-import os
 import pathlib
 import subprocess
 import sys
@@ -18,12 +8,6 @@ import sys
 import pytest
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
-
-#: make every DeprecationWarning print to stderr, wherever it fires
-_GUARD = "always::DeprecationWarning"
-
-#: the fingerprint of repro.__getattr__'s shim warning
-_SHIM_MESSAGE = "is deprecated; import it from"
 
 _CASES = [
     ("quickstart.py", []),
@@ -38,9 +22,8 @@ _CASES = [
 
 
 def _run(argv):
-    env = dict(os.environ, PYTHONWARNINGS=_GUARD)
     return subprocess.run(argv, capture_output=True, text=True,
-                          timeout=300, env=env)
+                          timeout=300)
 
 
 @pytest.mark.parametrize("script,args",
@@ -52,8 +35,6 @@ def test_example_runs(script, args):
     assert proc.returncode == 0, \
         f"{script} failed:\n{proc.stdout}\n{proc.stderr}"
     assert proc.stdout.strip(), f"{script} produced no output"
-    assert _SHIM_MESSAGE not in proc.stderr, \
-        f"{script} used a deprecated repro re-export:\n{proc.stderr}"
 
 
 def test_do_loop_directive_program_runs():
@@ -63,8 +44,6 @@ def test_do_loop_directive_program_runs():
                  "--opt", "2", "-p", "4", "-D", "N=16"])
     assert proc.returncode == 0, proc.stderr
     assert "optimizer savings" in proc.stdout
-    assert _SHIM_MESSAGE not in proc.stderr, \
-        f"CLI run used a deprecated repro re-export:\n{proc.stderr}"
 
 
 def test_example_inventory_complete():

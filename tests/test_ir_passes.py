@@ -18,7 +18,6 @@ from repro.distributions.block import Block
 from repro.distributions.cyclic import Cyclic
 from repro.engine.assignment import Assignment
 from repro.engine.expr import ArrayRef
-from repro.engine.analysis import replay_blockers
 from repro.engine.ir import (
     AllocateNode,
     DeallocateNode,
@@ -26,6 +25,7 @@ from repro.engine.ir import (
     ProgramGraph,
     RedistributeNode,
     StatementNode,
+    replay_blockers,
 )
 from repro.engine.passes import (
     ProgramRunner,
@@ -34,6 +34,7 @@ from repro.engine.passes import (
     plan_hoists,
 )
 from repro.fortran.triplet import Triplet
+from repro.machine.backend import Backend
 from repro.machine.config import MachineConfig
 from repro.machine.simulator import DistributedMachine
 from repro.workloads.multigrid import multigrid_program
@@ -50,7 +51,7 @@ def _seed_arrays(ds: DataSpace, seed: int = 0) -> None:
         data[...] = rng.uniform(-4.0, 4.0, size=data.shape)
 
 
-def _run(builder, opt_level: int, backend: str = "simulate"):
+def _run(builder, opt_level: int, backend=None):
     ds, graph = builder()
     _seed_arrays(ds)
     machine = DistributedMachine(MachineConfig(P))
@@ -377,7 +378,9 @@ class TestPipelineProperties:
             np.testing.assert_array_equal(dsk.arrays[name].data,
                                           ds0.arrays[name].data)
 
-    @pytest.mark.parametrize("backend", ["simulate", "spmd", "message"])
+    @pytest.mark.parametrize(
+        "backend", [Backend.simulate(), Backend.spmd(), "message"],
+        ids=["simulate", "spmd", "message"])
     def test_numerics_bit_identical_across_backends_at_O2(self, backend):
         ds0, _, _ = _run(_jacobi, 0)
         dsb, _, _ = _run(_jacobi, 2, backend=backend)
@@ -387,7 +390,7 @@ class TestPipelineProperties:
 
     def test_spmd_machine_bit_identical_to_simulate_at_O2(self):
         _, m_sim, r_sim = _run(_jacobi, 2)
-        _, m_spmd, r_spmd = _run(_jacobi, 2, backend="spmd")
+        _, m_spmd, r_spmd = _run(_jacobi, 2, backend=Backend.spmd())
         np.testing.assert_array_equal(m_spmd.stats.words_sent,
                                       m_sim.stats.words_sent)
         np.testing.assert_array_equal(m_spmd.stats.msgs_sent,
@@ -596,11 +599,27 @@ class TestReplayLegality:
                    DeallocateNode("W")])
         return ds, g
 
+    @staticmethod
+    def _nested_dealloc_loop():
+        ds = DataSpace(P)
+        ds.processors("PR", P)
+        ds.declare("A", N)
+        ds.declare("B", N)
+        ds.distribute("A", [Block()], to="PR")
+        ds.distribute("B", [Block()], to="PR")
+        ds.declare("W", rank=1, allocatable=True)
+        stmt = Assignment(ArrayRef("A", (Triplet(2, N),)),
+                          ArrayRef("B", (Triplet(1, N - 1),)))
+        g = ProgramGraph()
+        g.loop(3, [StatementNode(stmt), AllocateNode("W", (8,)),
+                   LoopNode(1, (DeallocateNode("W"),))])
+        return ds, g
+
     def _run_spmd(self, builder, opt_level=0):
         ds, graph = builder()
         _seed_arrays(ds)
         machine = DistributedMachine(MachineConfig(P))
-        with ProgramRunner(ds, machine, backend="spmd",
+        with ProgramRunner(ds, machine, backend=Backend.spmd(),
                            opt_level=opt_level) as runner:
             result = runner.run(graph)
             counts = (runner.executor.replay_count,
@@ -663,3 +682,15 @@ class TestReplayLegality:
         zero = LoopNode(0, (StatementNode(stmt),))
         assert any("zero-trip" in b for b in replay_blockers(zero))
         assert not zero.is_trip_invariant()
+
+        # a storage event buried in a nested loop is still named, and
+        # the runner refuses to replay the outer loop
+        _, g_nested = self._nested_dealloc_loop()
+        (loop,) = [n for n in g_nested.nodes if isinstance(n, LoopNode)]
+        assert any("deallocation flips storage: DEALLOCATE W" in b
+                   for b in replay_blockers(loop))
+        assert not loop.is_trip_invariant()
+        _, _, _, (replays, dispatches) = self._run_spmd(
+            self._nested_dealloc_loop)
+        assert replays == 0
+        assert dispatches == 3

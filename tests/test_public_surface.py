@@ -1,7 +1,9 @@
 """The curated public surface: ``repro`` exports exactly the Session
-front door, and every former top-level re-export still works through a
-DeprecationWarning shim (locked alongside the ruff F401/F822 rules)."""
+front door (locked alongside the ruff F401/F822 rules); every former
+top-level re-export is gone from the root and lives only in its home
+module."""
 
+import importlib
 import warnings
 
 import pytest
@@ -30,18 +32,38 @@ def test_front_door_importable_without_warnings():
             getattr(repro, name)
 
 
-@pytest.mark.parametrize("name", sorted(repro._DEPRECATED))
+#: the names the package root re-exported before the Session front
+#: door -> the module each one lives in
+FORMER_REEXPORTS = {
+    "DataSpace": "repro.core.dataspace",
+    "TemplateDataSpace": "repro.templates.model",
+    "Procedure": "repro.core.procedures",
+    "DummySpec": "repro.core.procedures",
+    "DummyMode": "repro.core.procedures",
+    "run_program": "repro.directives.analyzer",
+    "Block": "repro.distributions",
+    "BlockVariant": "repro.distributions",
+    "Collapsed": "repro.distributions",
+    "Cyclic": "repro.distributions",
+    "GeneralBlock": "repro.distributions",
+    "Triplet": "repro.fortran.triplet",
+    "IndexDomain": "repro.fortran.domain",
+    "ArrayRef": "repro.engine.expr",
+    "Assignment": "repro.engine.assignment",
+    "SimulatedExecutor": "repro.engine.executor",
+    "DistributedMachine": "repro.machine.simulator",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMER_REEXPORTS))
 def test_shims_warn_and_resolve(name):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        obj = getattr(repro, name)
-    assert obj is not None
-    assert any(issubclass(w.category, DeprecationWarning)
-               for w in caught), f"{name} shim did not warn"
-    # the shim resolves to the real object in its home module
-    import importlib
-    home = importlib.import_module(repro._DEPRECATED[name])
-    assert obj is getattr(home, name)
+    """The shims are removed, not kept: the root no longer resolves the
+    name (no warning, no fallback) and its home module does."""
+    with pytest.raises(AttributeError):
+        getattr(repro, name)
+    assert name not in dir(repro)
+    home = importlib.import_module(FORMER_REEXPORTS[name])
+    assert getattr(home, name) is not None
 
 
 def test_unknown_attribute_raises():
@@ -49,15 +71,10 @@ def test_unknown_attribute_raises():
         repro.NotAThing
 
 
-def test_dir_covers_both_surfaces():
-    names = dir(repro)
-    assert "Session" in names and "DataSpace" in names
-
-
 def test_internal_modules_do_not_use_shims():
-    """No module inside src/repro imports the deprecated top-level
-    names — the shims exist for external callers only (CI additionally
-    errors on the warning firing from inside the package)."""
+    """No module inside src/repro imports names from the package root —
+    the root is the external front door, internals import from home
+    modules."""
     import ast
     import pathlib
     src = pathlib.Path(repro.__file__).resolve().parent

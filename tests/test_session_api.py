@@ -22,6 +22,7 @@ from repro.engine.ir import (
 from repro.engine.passes import adaptive_window
 from repro.errors import DirectiveError
 from repro.fortran.triplet import Triplet
+from repro.machine.backend import Backend
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +343,7 @@ class TestSessionLifecycle:
         np.testing.assert_array_equal(b.data, np.full(4, 2.0))
 
     def test_context_manager_closes_backend(self):
-        with Session(2, backend="spmd") as s:
+        with Session(2, backend=Backend.spmd()) as s:
             s.processors("PR", 2)
             a = s.array("A", 8).distribute(Block(), to="PR")
             b = s.array("B", 8).distribute(Cyclic(), to="PR")

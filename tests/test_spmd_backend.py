@@ -316,8 +316,8 @@ def test_run_program_spmd_with_allocate():
       B(2:N) = A(1:N-1)
 """
     kwargs = dict(n_processors=4, inputs={"N": 24}, machine=True)
-    sim = run_program(source, backend="simulate", **kwargs)
-    spmd = run_program(source, backend="spmd", **kwargs)
+    sim = run_program(source, backend=Backend.simulate(), **kwargs)
+    spmd = run_program(source, backend=Backend.spmd(), **kwargs)
     for name in ("A", "B"):
         np.testing.assert_array_equal(spmd.ds.arrays[name].data,
                                       sim.ds.arrays[name].data)
@@ -390,7 +390,7 @@ def test_worker_error_breaks_pool_and_close_restarts():
     # dispatch a serial the workers never received: every worker
     # reports the error and the pool is marked broken
     with pytest.raises(MachineError, match="SPMD statement failed"):
-        pool.run_statement(999, None)
+        pool.run_statement(999)
     with pytest.raises(MachineError, match="broken"):
         ex.execute(case.statement)
     # close + execute restarts a fresh pool
@@ -426,47 +426,35 @@ def test_refresh_reuploads_external_mutation():
 # Backend selection layer
 # ----------------------------------------------------------------------
 def test_resolve_backend_coercions():
-    import warnings as _warnings
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("error", DeprecationWarning)
-        # None and explicit configs resolve silently
-        assert resolve_backend(None).kind == "simulate"
-        config = BackendConfig(kind="spmd", n_workers=2, mode="thread")
-        assert resolve_backend(config) is config
-    # bare kind strings still work, but only through the shim warning
-    with pytest.warns(DeprecationWarning, match="Backend.spmd"):
-        assert resolve_backend("spmd").kind == "spmd"
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(MachineError):
-            resolve_backend("quantum")
-    with pytest.raises(MachineError):
-        resolve_backend(42)
+    assert resolve_backend(None).kind == "simulate"
+    config = BackendConfig(kind="spmd", n_workers=2, mode="thread")
+    assert resolve_backend(config) is config
+    # bare kind strings are not specs: the front doors that take
+    # strings (CLI, wire protocol) convert them at the edge
+    for bad in ("spmd", "quantum", 42):
+        with pytest.raises(MachineError, match="bad backend spec"):
+            resolve_backend(bad)
 
 
 def test_backend_spec_constructors():
     sim = Backend.simulate()
     assert sim.kind == "simulate" and not sim.use_overlap
-    spec = Backend.spmd(workers=2, mode="fork", fused=False)
+    spec = Backend.spmd(workers=2, mode="fork", replay=False)
     assert spec.kind == "spmd"
     assert spec.n_workers == 2
     assert spec.mode == "process"      # 'fork' is an alias
-    assert spec.fused is False
-    assert Backend.spmd().fused is True
+    assert spec.pool_key == ("spmd", 2, "process", False)
     with pytest.raises(TypeError):
         Backend()                      # namespace, not a class to build
     with pytest.raises(MachineError):
         Backend.spmd(mode="carrier-pigeon")
-
-
-def test_session_loose_kwargs_deprecated_but_folded():
+    # one SPMD generation: there is no fused/unfused switch, and the
+    # worker split is part of the spec, not a loose Session kwarg
+    with pytest.raises(TypeError):
+        Backend.spmd(fused=True)
     from repro import Session
-    with pytest.warns(DeprecationWarning, match="Backend.spmd"):
-        s = Session(4, backend=Backend.spmd(), n_workers=2,
-                    mode="thread")
-    assert s.backend.kind == "spmd"
-    assert s.backend.n_workers == 2
-    assert s.backend.mode == "thread"
-    s.close()
+    with pytest.raises(TypeError):
+        Session(4, backend=Backend.spmd(), n_workers=2, mode="thread")
 
 
 def test_report_timing_fields():
@@ -485,15 +473,13 @@ def test_report_timing_fields():
     assert rep.wall_s > 0.0
     assert set(rep.per_phase_wall) == {"route", "write"}
 
-    for fused, barriers in ((True, 1), (False, 2)):
-        case = _jacobi(20)
-        machine = DistributedMachine(MachineConfig(4))
-        with SpmdExecutor(case.ds, machine, mode="thread",
-                          fused=fused) as ex:
-            rep = ex.execute(case.statement)
-        assert rep.wall_s > 0.0
-        assert rep.barrier_count == barriers
-        assert set(rep.per_phase_wall) == {"gather", "write"}
+    case = _jacobi(20)
+    machine = DistributedMachine(MachineConfig(4))
+    with SpmdExecutor(case.ds, machine, mode="thread") as ex:
+        rep = ex.execute(case.statement)
+    assert rep.wall_s > 0.0
+    assert rep.barrier_count == 1
+    assert set(rep.per_phase_wall) == {"gather", "write"}
 
 
 # ----------------------------------------------------------------------
@@ -502,36 +488,38 @@ def test_report_timing_fields():
 def _window_tasks(ex):
     """Every compiled WindowTask list sitting in the executor's plan
     cache (one list per fusion window, one task per worker)."""
-    return [entry[1] for key, entry in ex._tasks.items()
-            if isinstance(key, tuple) and key and key[0] == "w"]
+    return [entry[1] for entry in ex._tasks.values()]
 
 
-def test_fused_matches_unfused_with_fewer_barriers():
+def test_execute_is_a_one_statement_window():
+    """``execute(stmt)`` is ``execute_all([stmt])``: the same numerics,
+    the same charges and one phase barrier per dispatched window (a
+    replayed window-trip crosses twice — asserted by
+    test_execute_loop_matches_dispatch_bit_identically)."""
     n, iters = 24, 3
-    case, case_uf = _jacobi(n), _jacobi(n)
+    case, case_all = _jacobi(n), _jacobi(n)
     copy_back = _copy_back(n)
-    stmts = [case.statement, copy_back]
     machine = DistributedMachine(MachineConfig(4))
-    machine_uf = DistributedMachine(MachineConfig(4))
-    barriers = barriers_uf = 0
+    machine_all = DistributedMachine(MachineConfig(4))
+    barriers = barriers_all = 0
     with SpmdExecutor(case.ds, machine, mode="thread") as ex, \
-            SpmdExecutor(case_uf.ds, machine_uf, mode="thread",
-                         fused=False) as ex_uf:
+            SpmdExecutor(case_all.ds, machine_all,
+                         mode="thread") as ex_all:
         for _ in range(iters):
-            barriers += sum(r.barrier_count
-                            for r in ex.execute_all(stmts))
-            barriers_uf += sum(r.barrier_count
-                               for r in ex_uf.execute_all(stmts))
+            for stmt in (case.statement, copy_back):
+                barriers += ex.execute(stmt).barrier_count
+            # copy_back reads what the stencil wrote: 2 windows/sweep
+            barriers_all += sum(r.barrier_count for r in
+                                ex_all.execute_all([case_all.statement,
+                                                    copy_back]))
+        assert ex.dispatch_count == ex_all.dispatch_count == 2 * iters
     for name in ("X", "XNEW"):
         np.testing.assert_array_equal(case.ds.arrays[name].data,
-                                      case_uf.ds.arrays[name].data)
+                                      case_all.ds.arrays[name].data)
     np.testing.assert_array_equal(machine.stats.words_sent,
-                                  machine_uf.stats.words_sent)
-    assert machine.elapsed == machine_uf.elapsed
-    # copy_back reads what the stencil wrote: 2 windows/sweep fused
-    # (1 barrier each) vs 2 statements x 2 barriers unfused
-    assert barriers == 2 * iters
-    assert barriers_uf == 4 * iters
+                                  machine_all.stats.words_sent)
+    assert machine.elapsed == machine_all.elapsed
+    assert barriers == barriers_all == 2 * iters
 
 
 def test_independent_statements_share_one_window_barrier():
@@ -659,8 +647,8 @@ def test_run_program_spmd_backend():
       P = U(0:N-1,:) + U(1:N,:) + V(:,0:N-1) + V(:,1:N)
 """
     kwargs = dict(n_processors=4, inputs={"N": 12}, machine=True)
-    sim = run_program(source, backend="simulate", **kwargs)
-    spmd = run_program(source, backend="spmd", **kwargs)
+    sim = run_program(source, backend=Backend.simulate(), **kwargs)
+    spmd = run_program(source, backend=Backend.spmd(), **kwargs)
     np.testing.assert_array_equal(spmd.ds.arrays["P"].data,
                                   sim.ds.arrays["P"].data)
     np.testing.assert_array_equal(spmd.reports[-1].words,
@@ -714,8 +702,7 @@ def test_cli_bench_diff(tmp_path, capsys):
 def _loop_serials(ex):
     """The replay serials of every compiled fusion window in the
     executor's plan cache, in compilation (= program) order."""
-    return sorted(entry[0] for key, entry in ex._tasks.items()
-                  if isinstance(key, tuple) and key and key[0] == "w")
+    return sorted(entry[0] for entry in ex._tasks.values())
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -759,6 +746,43 @@ def test_execute_loop_matches_dispatch_bit_identically(mode):
     # round providing write visibility instead
     assert sum(r.barrier_count for r in reports) == 4 * trips
     assert sum(r.barrier_count for r in ref_reports) == 2 * trips
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_replay_body_wider_than_the_plan_table(mode):
+    """A trip-invariant body of 70 fusion windows overflows the
+    64-entry plan table while its replay loop is being assembled: the
+    loop's own plans are pinned, so the workers still hold window 0 when
+    the ``loop`` message lands (it used to be evicted and dropped, and
+    the replay died with 'no cached window task 0')."""
+    from repro import Session
+
+    def run(backend):
+        with Session(2, backend=backend) as s:
+            pr = s.processors("PR", 2)
+            a = s.array("A", 200).distribute(Block(), to=pr)
+            b = s.array("B", 200).distribute(Block(), to=pr)
+            a.data[:] = np.arange(200, dtype=np.float64)
+            with s.loop(2):
+                for k in range(70):
+                    if k % 2 == 0:
+                        b[1 + k:199] = a[1 + k:199] * 1.0
+                    else:
+                        a[1 + k:199] = b[1 + k:199] + 1.0
+            s.run()
+            executor = s._runner.executor
+            return (a.data.copy(), b.data.copy(), list(s.machine.ledger),
+                    s.machine.elapsed,
+                    getattr(executor, "replay_count", None))
+
+    a_sim, b_sim, ledger_sim, elapsed_sim, _ = run(Backend.simulate())
+    a_spmd, b_spmd, ledger, elapsed, replays = run(
+        Backend.spmd(workers=2, mode=mode))
+    assert replays == 1
+    np.testing.assert_array_equal(a_spmd, a_sim)
+    np.testing.assert_array_equal(b_spmd, b_sim)
+    assert ledger == ledger_sim
+    assert elapsed == elapsed_sim
 
 
 def test_execute_loop_replay_off_falls_back_to_dispatch():
@@ -855,8 +879,8 @@ def test_thread_peer_barrier_break_reports_peer_failed():
         # worker 0 runs the cached window and parks at the phase
         # barrier; worker 1 hits an unknown serial, errors, and aborts
         # the barrier under worker 0
-        pool._endpoints[0].send(("exec", serial, None))
-        pool._endpoints[1].send(("exec", 999, None))
+        pool._endpoints[0].send(("exec", serial))
+        pool._endpoints[1].send(("exec", 999))
         status0, detail0, _ = pool._recv(0, pool._endpoints[0])
         status1, detail1, _ = pool._recv(1, pool._endpoints[1])
         assert status0 == "err" and status1 == "err"
@@ -935,20 +959,29 @@ def test_bench_diff_replay_gates():
     from repro.bench.diff import _dormant_gates, diff_speedups
 
     def replay_row(**kw):
-        row = {"speedup_vs_simulate": 3.0, "fused": True, "replay": True,
-               "multicore": True, "seconds": 0.04, "workers": 4}
+        row = {"speedup_vs_simulate": 3.0, "backend": "spmd",
+               "replay": True, "multicore": True, "seconds": 0.04,
+               "workers": 4}
         row.update(kw)
         return row
 
     base = {
         "jacobi_spmd_p4_s50000": {"speedup_vs_simulate": 2.5,
-                                  "fused": True, "multicore": True,
+                                  "backend": "spmd", "multicore": True,
                                   "seconds": 0.10, "workers": 4},
         "jacobi_spmd_replay_p4_s50000": replay_row(),
     }
     good = {"jacobi_spmd_p4_s50000": dict(base["jacobi_spmd_p4_s50000"]),
             "jacobi_spmd_replay_p4_s50000": replay_row(seconds=0.03)}
     assert diff_speedups(base, good) == []
+
+    # a multicore dispatch row (backend spmd, not replay) below the
+    # absolute 2x target fails
+    weak = dict(good)
+    weak["jacobi_spmd_p4_s50000"] = dict(base["jacobi_spmd_p4_s50000"],
+                                         speedup_vs_simulate=1.5)
+    assert any("below the 2.0x target" in p
+               for p in diff_speedups(base, weak))
 
     # a multicore replay row below the absolute 1x target fails
     slow = dict(good)
