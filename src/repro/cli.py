@@ -18,12 +18,11 @@ diagnostic codes; exit 1 on any error-severity finding)::
     python -m repro lint examples/jacobi_do.hpf -D N=48
     python -m repro lint examples/*.py --opt 2 --format json
 
-and the core-ops micro benchmark (the CI perf artifact), plus the
-regression gate CI applies to it::
+and regenerates the modelled-counts snapshot that
+``tests/test_bench_snapshot.py`` holds by exact equality (measured time
+is ``benchmarks/perf``'s job)::
 
-    python -m repro bench --quick
-    python -m repro bench --size 1000000 -o BENCH_core.json
-    python -m repro bench-diff BENCH_baseline.json BENCH_core.json
+    python -m repro bench -o BENCH_core.json
 
 and the long-running session service plus its submission client::
 
@@ -43,10 +42,6 @@ from repro.bench.experiments import EXPERIMENTS, run_experiment
 
 __all__ = ["main"]
 
-#: sizes used by ``bench --quick`` (CI smoke) and plain ``bench``
-QUICK_SIZES = (50_000,)
-FULL_SIZES = (1_000_000,)
-
 
 def _run_bench(args: argparse.Namespace) -> int:
     from repro.bench.harness import (
@@ -55,51 +50,12 @@ def _run_bench(args: argparse.Namespace) -> int:
         write_bench_json,
     )
 
-    sizes = tuple(args.size) if args.size else \
-        (QUICK_SIZES if args.quick else FULL_SIZES)
-    backends = ("simulate", "spmd") if args.backend == "both" \
-        else (args.backend,)
-    try:
-        opt_levels = tuple(sorted({int(x) for x in
-                                   args.opt.split(",") if x != ""}))
-    except ValueError:
-        raise SystemExit(
-            f"bad --opt {args.opt!r}; use a comma list like 0,2") from None
-    if not set(opt_levels) <= {0, 1, 2}:
-        raise SystemExit(
-            f"bad --opt {args.opt!r}; levels must be from 0,1,2")
-    rows = run_quick_bench(sizes=sizes, n_processors=args.processors,
-                           repeats=args.repeats, backends=backends,
-                           opt_levels=opt_levels)
-    print(format_table(rows))
-    # honour -o wherever it was given (before or after the subcommand)
-    out = args.bench_output or args.output or "BENCH_core.json"
-    write_bench_json(rows, out)
-    print(f"wrote {out}", file=sys.stderr)
+    rows = run_quick_bench()
+    print(format_table(rows, ("name", "size", "words_moved", "messages",
+                              "barriers", "cache_hit_rate")))
+    write_bench_json(rows, args.output)
+    print(f"wrote {args.output}", file=sys.stderr)
     return 0
-
-
-def _run_bench_diff(args: argparse.Namespace) -> int:
-    from repro.bench.diff import (
-        diff_autotune_makespans,
-        diff_cache_hit_rates,
-        diff_opt_reductions,
-        diff_speedups,
-        load_rows,
-        render_diff,
-    )
-
-    baseline = load_rows(args.baseline)
-    candidate = load_rows(args.candidate)
-    problems = diff_cache_hit_rates(baseline, candidate,
-                                    tolerance=args.tolerance)
-    problems += diff_opt_reductions(baseline, candidate,
-                                    tolerance=args.tolerance)
-    problems += diff_speedups(baseline, candidate,
-                              target=args.speedup_target)
-    problems += diff_autotune_makespans(baseline, candidate)
-    print(render_diff(baseline, candidate, problems))
-    return 1 if problems else 0
 
 
 def _run_program_file(args: argparse.Namespace) -> int:
@@ -395,40 +351,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="also write the rendered results to FILE")
     sub = parser.add_subparsers(dest="command")
     bench = sub.add_parser(
-        "bench", help="time the core engine operations (including the "
-                      "pattern-lowered collective cost probes) and "
-                      "write BENCH_core.json")
-    bench.add_argument("--quick", action="store_true",
-                       help=f"small sizes {list(QUICK_SIZES)} for CI "
-                            "smoke runs")
-    bench.add_argument("--size", type=int, action="append", metavar="N",
-                       help="explicit array size (repeatable)")
-    bench.add_argument("--processors", "-p", type=int, default=16,
-                       help="simulated machine width (default 16)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="best-of repeats per probe (default 3)")
-    bench.add_argument("--output", "-o", dest="bench_output",
-                       metavar="FILE", default=None,
+        "bench", help="run the deterministic counter probes (words, "
+                      "messages, barriers, hit rates, patterns, modelled "
+                      "times) and write BENCH_core.json")
+    bench.add_argument("--output", "-o", metavar="FILE",
+                       default="BENCH_core.json",
                        help="JSON output path (default BENCH_core.json)")
-    bench.add_argument("--backend", choices=["simulate", "spmd", "both"],
-                       default="both",
-                       help="which execution backends the Jacobi "
-                            "wall-clock rows cover (default both)")
-    bench.add_argument("--opt", metavar="LEVELS", default="0,2",
-                       help="comma list of opt levels for the optimizer "
-                            "pipeline rows (default 0,2; '' disables)")
-    diff = sub.add_parser(
-        "bench-diff", help="compare two BENCH_core.json snapshots and "
-                           "fail on schedule-cache hit-rate, optimizer-"
-                           "reduction, SPMD-speedup or autotune-"
-                           "makespan regressions")
-    diff.add_argument("baseline", help="baseline BENCH json (committed)")
-    diff.add_argument("candidate", help="candidate BENCH json (fresh run)")
-    diff.add_argument("--tolerance", type=float, default=0.02,
-                      help="allowed absolute hit-rate drop (default 0.02)")
-    diff.add_argument("--speedup-target", type=float, default=2.0,
-                      help="required fused-SPMD speedup over simulate on "
-                           "multicore runners (default 2.0)")
     runp = sub.add_parser(
         "run", help="execute a directive program file under a chosen "
                     "execution backend")
@@ -536,8 +464,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_submit(args)
     if args.command == "bench":
         return _run_bench(args)
-    if args.command == "bench-diff":
-        return _run_bench_diff(args)
     if args.command == "run":
         return _run_program_file(args)
     if args.command == "lint":
@@ -554,6 +480,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.all:
         ids = list(EXPERIMENTS)
     elif args.experiment:
+        if args.experiment.upper() not in EXPERIMENTS:
+            parser.error(f"unknown experiment {args.experiment!r}; "
+                         f"choose from {', '.join(EXPERIMENTS)}")
         ids = [args.experiment]
     else:
         parser.print_help()

@@ -31,12 +31,10 @@ from repro.autotune import (
     partition_work,
     propose_for_loop,
     select_passes,
-    tune_graph,
 )
-from repro.distributions.base import Collapsed
 from repro.distributions.block import Block
 from repro.distributions.general_block import GeneralBlock
-from repro.engine.ir import LoopNode, RedistributeNode
+from repro.engine.ir import LoopNode
 from repro.engine.passes import RemapPlan, passes_for
 from repro.errors import MachineError, MappingError
 from repro.machine.config import MachineConfig
@@ -487,70 +485,6 @@ def test_service_counts_adaptations_per_tenant():
         assert counts["tenant-1"] == 0
         adapting.close()
         static.close()
-
-
-# ----------------------------------------------------------------------
-# The bench-diff autotune gate
-# ----------------------------------------------------------------------
-def test_bench_diff_autotune_gate():
-    from repro.bench.diff import diff_autotune_makespans
-
-    def row(name, makespan, adaptations=0):
-        return {"name": name, "modeled_makespan": makespan,
-                "adaptations": adaptations}
-
-    good = {
-        "jacobi_imbalanced_static": row("jacobi_imbalanced_static", 10.0),
-        "jacobi_imbalanced_auto": row("jacobi_imbalanced_auto", 4.0, 1),
-        "jacobi_imbalanced_general":
-            row("jacobi_imbalanced_general", 4.0),
-    }
-    assert diff_autotune_makespans(good, good) == []
-    # baselines predating the autotune rows skip the survival check
-    assert diff_autotune_makespans({}, good) == []
-    # auto worse than static BLOCK: the tuner degraded the layout
-    worse = dict(good)
-    worse["jacobi_imbalanced_auto"] = row("jacobi_imbalanced_auto",
-                                          11.0, 1)
-    assert any("worse than the static BLOCK" in p
-               for p in diff_autotune_makespans({}, worse))
-    # auto drifting past 5% of the hand-tuned row
-    drift = dict(good)
-    drift["jacobi_imbalanced_auto"] = row("jacobi_imbalanced_auto",
-                                          4.5, 1)
-    assert any("hand-tuned" in p
-               for p in diff_autotune_makespans({}, drift))
-    # a tuner that silently stopped firing
-    inert = dict(good)
-    inert["jacobi_imbalanced_auto"] = row("jacobi_imbalanced_auto",
-                                          4.0, 0)
-    assert any("no adaptation" in p
-               for p in diff_autotune_makespans({}, inert))
-    # gated rows must survive into the candidate
-    assert any("missing" in p for p in diff_autotune_makespans(good, {}))
-    partial = {"jacobi_imbalanced_auto":
-               row("jacobi_imbalanced_auto", 4.0, 1)}
-    assert any("incomplete" in p
-               for p in diff_autotune_makespans({}, partial))
-
-
-def test_quick_bench_emits_autotune_rows():
-    from repro.bench.harness import _autotune_rows
-
-    rows = {r["name"]: r for r in _autotune_rows(1)}
-    assert sorted(rows) == ["jacobi_imbalanced_auto",
-                            "jacobi_imbalanced_general",
-                            "jacobi_imbalanced_static"]
-    auto, general, static = (rows["jacobi_imbalanced_auto"],
-                             rows["jacobi_imbalanced_general"],
-                             rows["jacobi_imbalanced_static"])
-    assert auto["adaptations"] == 1
-    assert static["adaptations"] == general["adaptations"] == 0
-    # auto converges on exactly the hand-tuned layout's makespan
-    assert auto["modeled_makespan"] == general["modeled_makespan"]
-    assert auto["modeled_makespan"] <= static["modeled_makespan"] * 0.75
-    # the remap is charged honestly: auto moves more words than static
-    assert auto["words_moved"] > static["words_moved"]
 
 
 # ----------------------------------------------------------------------

@@ -676,26 +676,6 @@ def test_cli_run_subcommand(tmp_path, capsys):
     assert out_spmd.splitlines()[1:] == out_sim.splitlines()[1:]
 
 
-def test_cli_bench_diff(tmp_path, capsys):
-    import json
-
-    from repro.cli import main
-    base = [{"name": "jacobi_spmd_p2", "size": 1, "seconds": 0.1,
-             "words_moved": 5, "cache_hit_rate": 0.8},
-            {"name": "untracked", "size": 1, "seconds": 0.1,
-             "words_moved": 5}]
-    good = [dict(base[0], cache_hit_rate=0.85), base[1]]
-    bad = [dict(base[0], cache_hit_rate=0.5), base[1]]
-    for name, rows in (("base", base), ("good", good), ("bad", bad)):
-        (tmp_path / f"{name}.json").write_text(json.dumps(rows))
-    assert main(["bench-diff", str(tmp_path / "base.json"),
-                 str(tmp_path / "good.json")]) == 0
-    capsys.readouterr()
-    assert main(["bench-diff", str(tmp_path / "base.json"),
-                 str(tmp_path / "bad.json")]) == 1
-    assert "regressed" in capsys.readouterr().out
-
-
 # ----------------------------------------------------------------------
 # Worker-resident loop replay
 # ----------------------------------------------------------------------
@@ -953,54 +933,3 @@ def test_replay_dead_worker_surfaces_machine_error():
     # close + execute restarts a fresh pool
     ex.execute_loop(stmts, 1)
     ex.close()
-
-
-def test_bench_diff_replay_gates():
-    from repro.bench.diff import _dormant_gates, diff_speedups
-
-    def replay_row(**kw):
-        row = {"speedup_vs_simulate": 3.0, "backend": "spmd",
-               "replay": True, "multicore": True, "seconds": 0.04,
-               "workers": 4}
-        row.update(kw)
-        return row
-
-    base = {
-        "jacobi_spmd_p4_s50000": {"speedup_vs_simulate": 2.5,
-                                  "backend": "spmd", "multicore": True,
-                                  "seconds": 0.10, "workers": 4},
-        "jacobi_spmd_replay_p4_s50000": replay_row(),
-    }
-    good = {"jacobi_spmd_p4_s50000": dict(base["jacobi_spmd_p4_s50000"]),
-            "jacobi_spmd_replay_p4_s50000": replay_row(seconds=0.03)}
-    assert diff_speedups(base, good) == []
-
-    # a multicore dispatch row (backend spmd, not replay) below the
-    # absolute 2x target fails
-    weak = dict(good)
-    weak["jacobi_spmd_p4_s50000"] = dict(base["jacobi_spmd_p4_s50000"],
-                                         speedup_vs_simulate=1.5)
-    assert any("below the 2.0x target" in p
-               for p in diff_speedups(base, weak))
-
-    # a multicore replay row below the absolute 1x target fails
-    slow = dict(good)
-    slow["jacobi_spmd_replay_p4_s50000"] = replay_row(
-        speedup_vs_simulate=0.8)
-    assert any("below the 1.0x target" in p
-               for p in diff_speedups(base, slow))
-
-    # a replay row that no longer beats the baseline *dispatch* row by
-    # the wall factor fails even with a healthy speedup_vs_simulate
-    lazy = dict(good)
-    lazy["jacobi_spmd_replay_p4_s50000"] = replay_row(seconds=0.08)
-    assert any("faster than the baseline dispatch row" in p
-               for p in diff_speedups(base, lazy))
-
-    # single-core runs arm nothing but are reported as dormant
-    cold = {"jacobi_spmd_replay_p4_s50000": replay_row(
-        speedup_vs_simulate=0.3, multicore=False, cpu_count=1)}
-    assert diff_speedups({}, cold) == []
-    dormant = _dormant_gates(cold)
-    assert len(dormant) == 1
-    assert "replay speedup" in dormant[0] and "dormant" in dormant[0]

@@ -134,6 +134,13 @@ class TestCli:
         assert cli_main(["--experiment", "E4"]) == 0
         assert "CYCLIC" in capsys.readouterr().out
 
+    def test_unknown_experiment_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--experiment", "E99"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown experiment 'E99'; choose from E1, " in err
+
     def test_no_args_shows_help(self, capsys):
         assert cli_main([]) == 2
 
