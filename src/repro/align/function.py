@@ -58,8 +58,14 @@ class AlignmentFunction:
     def is_replicating(self) -> bool:
         """True iff some base axis is ``*`` (every image has > 1 element,
         provided the replicated base dimension has extent > 1)."""
-        return any(isinstance(ax, ReplicatedAxis)
-                   for ax in self.reduced.base_axes)
+        return bool(self.replicated_axes)
+
+    @property
+    def replicated_axes(self) -> tuple[int, ...]:
+        """The 0-based base axes that are ``*``: every image spans them
+        entirely."""
+        return tuple(j for j, ax in enumerate(self.reduced.base_axes)
+                     if isinstance(ax, ReplicatedAxis))
 
     @property
     def collapsed_axes(self) -> frozenset[int]:
@@ -190,6 +196,24 @@ class AlignmentFunction:
             indices[:, k] = vals[(pos // stride) % shape[k]]
             stride *= shape[k]
         return self.map_indices(indices)
+
+    def pullback(self, base_mask: np.ndarray) -> np.ndarray:
+        """For every alignee element, whether the boolean ``base_mask``
+        (shaped like the base domain) holds anywhere in its image.
+
+        An image is the representative base index with every ``*`` axis
+        widened to the whole dimension, so the ``*`` axes are OR-reduced
+        first and the representative gathers the answer: one vectorized
+        pass, no per-element :meth:`image`."""
+        dom = self.alignee_domain
+        if self.base_domain.rank == 0:
+            return np.full(dom.shape, bool(base_mask))
+        reduced = base_mask.any(axis=self.replicated_axes, keepdims=True)
+        lin = self.map_linear(np.arange(dom.size, dtype=np.int64))
+        # a representative sits at the lower bound (position 0) of every
+        # ``*`` axis, which the reduction kept as an axis of extent 1
+        pos = np.unravel_index(lin, self.base_domain.shape, order="F")
+        return reduced[pos].reshape(dom.shape, order="F")
 
     def axis_triplet_image(self, base_axis: int,
                            alignee_triplet: Triplet) -> Triplet | None:

@@ -142,6 +142,13 @@ class InheritedSectionDistribution(Distribution):
         pmap = self.parent.primary_owner_map()
         return np.asfortranarray(pmap[_section_slicer(self.section)])
 
+    def owner_mask(self, unit: int) -> np.ndarray:
+        return self.parent.owner_mask(unit)[_section_slicer(self.section)]
+
+    def processors(self) -> tuple[int, ...]:
+        return tuple(u for u in self.parent.processors()
+                     if self.owner_mask(u).any())
+
     def describe(self) -> str:
         return (f"INHERITED section {self.section} of "
                 f"{self.parent.describe()}")
@@ -162,7 +169,9 @@ def distributions_equal(a: Distribution, b: Distribution) -> bool:
     if not a.is_replicated:
         return bool(np.array_equal(a.primary_owner_map(),
                                    b.primary_owner_map()))
-    return a.same_mapping(b)
+    units = a.processors()
+    return units == b.processors() and all(
+        np.array_equal(a.owner_mask(u), b.owner_mask(u)) for u in units)
 
 
 @dataclass

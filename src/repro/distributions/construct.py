@@ -13,8 +13,15 @@ displayed formula in the scanned paper is OCR-damaged; the verbal
 description above pins it down — DESIGN.md §4 item 2.)
 
 The alignment argument is duck-typed: anything exposing ``image(index)``
-(returning the set of base indices) and the two domains works, which keeps
-this package free of dependencies on :mod:`repro.align`.
+(returning the set of base indices), the bulk ``pullback`` kernel,
+``is_replicating`` and the two domains works, which keeps this package
+free of dependencies on :mod:`repro.align`.
+
+Nothing here walks the domain.  Replication is decided from the
+alignment's structure (which base axes are ``*``) and the base's per-axis
+owner coordinates, exactly and at any size; owner sets of replicated
+elements come from the bulk :meth:`ConstructedDistribution.owner_mask`
+kernel, which pulls the base's owner mask back through the alignment.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from repro.distributions.distribution import Distribution
+from repro.distributions.distribution import Distribution, FormatDistribution
 from repro.errors import MappingError
 from repro.fortran.domain import IndexDomain
 
@@ -38,8 +45,18 @@ class IndexMapping(Protocol):
     alignee_domain: IndexDomain
     base_domain: IndexDomain
 
+    @property
+    def is_replicating(self) -> bool:
+        """Whether some image may hold more than one base index."""
+        ...
+
     def image(self, index: Sequence[int]) -> frozenset[tuple[int, ...]]:
         """alpha(index): the base indices the alignee element maps to."""
+        ...
+
+    def pullback(self, base_mask: np.ndarray) -> np.ndarray:
+        """For every alignee element, whether the boolean ``base_mask``
+        over the base domain holds anywhere in its image."""
         ...
 
 
@@ -62,6 +79,8 @@ class ConstructedDistribution(Distribution):
         self.alignment = alignment
         self.base = base
         self._cache: dict[tuple[int, ...], frozenset[int]] = {}
+        self._replicated: bool | None = None
+        self._processors: tuple[int, ...] | None = None
 
     def owners(self, index: Sequence[int]) -> frozenset[int]:
         index = tuple(index)
@@ -80,25 +99,45 @@ class ConstructedDistribution(Distribution):
         self._cache[index] = result
         return result
 
-    #: exact replication detection is O(domain); above this size a
-    #: conservative answer (image fan-out implies possible replication)
-    #: is returned instead — safe because callers only use the flag to
-    #: pick slower-but-general code paths.
-    _EXACT_REPLICATION_LIMIT = 65536
-
     @property
     def is_replicated(self) -> bool:
+        """Exact at every size and memoized.  Without a ``*`` base axis
+        every image is one base index, so only a replicated base
+        replicates.  Over a format base, each alignee element's owners
+        vary exactly along the ``*`` axes, so it is replicated iff some
+        ``*`` axis spans a base dimension owned by more than one target
+        coordinate (a ``*`` into a ``:`` dimension fans out to one owner).
+        Other bases and alignment chains count owners with the bulk
+        kernel."""
+        if self._replicated is None:
+            self._replicated = self._replication()
+        return self._replicated
+
+    def _replication(self) -> bool:
         if self.base.is_replicated:
             return True
-        fan_out = any(len(self.alignment.image(idx)) > 1
-                      for idx in self.domain)
-        if not fan_out:
+        if not self.alignment.is_replicating:
             return False
-        if self.domain.size <= self._EXACT_REPLICATION_LIMIT:
-            # a fan-out alignment into collapsed base dimensions still
-            # yields single owners; check the actual owner sets
-            return any(len(self.owners(idx)) > 1 for idx in self.domain)
-        return True
+        star = getattr(self.alignment, "replicated_axes", None)
+        if star is not None and isinstance(self.base, FormatDistribution):
+            return any(self.base.axis_owner_count(j) > 1 for j in star)
+        counts = np.zeros(self.domain.shape, dtype=np.int64)
+        for unit in self.base.processors():
+            counts += self.owner_mask(unit)
+        return bool((counts > 1).any())
+
+    def owner_mask(self, unit: int) -> np.ndarray:
+        """The base's owner mask, OR-reduced over each image
+        (Definition 4's union) by the alignment's pullback kernel."""
+        return self.alignment.pullback(self.base.owner_mask(unit))
+
+    def processors(self) -> tuple[int, ...]:
+        if self._processors is None:
+            self._processors = (
+                tuple(u for u in self.base.processors()
+                      if self.owner_mask(u).any())
+                if self.is_replicated else super().processors())
+        return self._processors
 
     def _compute_owner_map(self) -> np.ndarray:
         """Vectorized when the alignment offers the ``map_linear`` bulk

@@ -14,6 +14,11 @@ table, so computing the owner of every element of an N-element array costs
 O(N) NumPy work, not N Python-level calls — this is the hot path of the
 benchmarks and follows the vectorize-the-inner-loop guidance of the domain
 guides.
+
+Replicated layouts have owner *sets*; :meth:`Distribution.owner_mask` is
+their bulk kernel ("is unit ``u`` among ``owners(i)``" for every element
+at once, one NumPy pass per unit), and :meth:`Distribution.
+smallest_owner_map` derives from it the unit every copy is shipped from.
 """
 
 from __future__ import annotations
@@ -93,9 +98,39 @@ class Distribution(abc.ABC):
         """True iff some element has more than one owner."""
         return False
 
+    def owner_mask(self, unit: int) -> np.ndarray:
+        """Dense boolean map, shaped like the domain, of the elements
+        ``unit`` owns (``unit in owners(i)``) — the bulk owner-set kernel.
+
+        Without replication this is one comparison against the primary
+        owner map; subclasses with replication override it with per-axis
+        NumPy passes, and this generic fallback enumerates the domain."""
+        if not self.is_replicated:
+            return self.primary_owner_map() == unit
+        out = np.empty(self.domain.shape, dtype=bool, order="F")
+        for idx in self.domain:
+            pos = tuple(d.position(v) for v, d in zip(idx, self.domain.dims))
+            out[pos] = unit in self.owners(idx)
+        return out
+
+    def smallest_owner_map(self) -> np.ndarray:
+        """Dense map of each element's smallest owning unit — the source
+        every copy of a replicated element is shipped from.  Equal to the
+        primary owner map without replication; otherwise one
+        :meth:`owner_mask` pass per unit, largest first, so the smallest
+        owner is written last."""
+        if not self.is_replicated:
+            return self.primary_owner_map()
+        out = np.empty(self.domain.shape, dtype=np.int64, order="F")
+        for unit in reversed(self.processors()):
+            out[self.owner_mask(unit)] = unit
+        return out
+
     # -- processor-side views -------------------------------------------
     def processors(self) -> tuple[int, ...]:
         """Sorted AP units owning at least one element."""
+        if not self.is_replicated:
+            return tuple(np.unique(self.primary_owner_map()).tolist())
         units: set[int] = set()
         for idx in self.domain:
             units |= self.owners(idx)
@@ -103,7 +138,7 @@ class Distribution(abc.ABC):
 
     def local_extent(self, unit: int) -> int:
         """Number of elements owned by AP ``unit``."""
-        return sum(1 for idx in self.domain if unit in self.owners(idx))
+        return int(np.count_nonzero(self.owner_mask(unit)))
 
     # -- comparison -------------------------------------------------------
     def same_mapping(self, other: "Distribution") -> bool:
@@ -266,6 +301,37 @@ class FormatDistribution(Distribution):
     @property
     def is_replicated(self) -> bool:
         return any(d.is_replicated for d in self.dims)
+
+    def owner_mask(self, unit: int) -> np.ndarray:
+        """Per-axis kernel: ``unit`` owns an element iff, in every
+        distributed dimension, its coordinate is among the element's owner
+        coordinates — all of them for a REPLICATED dimension."""
+        if not self.is_replicated:
+            return super().owner_mask(unit)
+        if unit not in self._unit_to_target:
+            return np.zeros(self.domain.shape, dtype=bool)
+        mask = np.ones(self.domain.shape, dtype=bool, order="F")
+        coords = iter(self.dim_coords_of_unit(unit))
+        rank = self.domain.rank
+        for k, (dd, tdim) in enumerate(zip(self.dims, self.target_dim_of)):
+            if tdim is None:
+                continue
+            coord = next(coords)
+            if dd.is_replicated:
+                continue
+            shape = [1] * rank
+            shape[k] = -1
+            mask &= (dd.owners_of(self.domain.dims[k].values())
+                     == coord).reshape(shape)
+        return mask
+
+    def axis_owner_count(self, k: int) -> int:
+        """Number of target coordinates owning some element of array
+        dimension ``k`` (1 for a ``:`` dimension)."""
+        if self.target_dim_of[k] is None:
+            return 1
+        dd = self.dims[k]
+        return sum(1 for c in range(dd.np_) if dd.local_extent(c) > 0)
 
     # -- processor-side views -------------------------------------------
     def processors(self) -> tuple[int, ...]:

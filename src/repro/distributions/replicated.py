@@ -122,6 +122,9 @@ class ReplicatedDistribution(Distribution):
         indices = np.asarray(indices, dtype=np.int64)
         return np.full(indices.shape[0], self.units[0], dtype=np.int64)
 
+    def owner_mask(self, unit: int) -> np.ndarray:
+        return np.full(self.domain.shape, unit in self.units, dtype=bool)
+
     def processors(self) -> tuple[int, ...]:
         return self.units
 

@@ -17,6 +17,19 @@ implementations compute this traffic:
   intersections), independent of array size.  Property tests prove it
   equals the oracle.
 
+A ``CYCLIC(k)`` coordinate owning more than ``k`` blocks enters the
+intersection as its ``k`` residue-class lattices (stride ``k*P``) rather
+than as its blocks: a cyclic reshuffle is an index lattice, so one
+``CYCLIC(k) -> CYCLIC(k')`` unit pair costs at most ``k*k'`` CRT
+intersections per dimension, and for fixed ``k``, ``k'`` and ``P`` the
+analytic cost does not depend on ``n`` below the piece limit (which still
+counts blocks, so the analytic-vs-oracle decision is unchanged).
+
+Replicated operands go through the oracle only, with the bulk
+:meth:`~repro.distributions.distribution.Distribution.owner_mask` kernel
+(one NumPy pass per owning unit) instead of a walk over the elements;
+there is no size limit.
+
 The iteration space of a statement is the LHS section's standard domain;
 both section ranks must agree (Fortran conformance), and iteration
 position ``t`` touches LHS element ``L_d.value_at(t_d - 1)`` and RHS
@@ -30,7 +43,10 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.distributions.base import DimDistribution
+from repro.distributions.cyclic import CyclicDim
 from repro.distributions.distribution import Distribution, FormatDistribution
+from repro.engine.expr import section_slicer
 from repro.engine.owner_computes import section_owner_map
 from repro.errors import MachineError
 from repro.fortran.section import ArraySection
@@ -39,9 +55,6 @@ from repro.fortran.triplet import EMPTY_TRIPLET, Triplet
 __all__ = ["comm_matrix", "analytic_comm_sets", "CommPiece",
            "AnalyticUnsupported", "words_matrix_from_pieces",
            "build_routing"]
-
-#: size above which the exact replicated-ownership path refuses to run
-_REPLICATED_ORACLE_LIMIT = 1_000_000
 
 
 class AnalyticUnsupported(MachineError):
@@ -64,35 +77,29 @@ def comm_matrix(lhs_dist: Distribution, lhs_section: ArraySection,
             f"non-conformable sections {lhs_section.shape} vs "
             f"{ref_section.shape}")
     p = n_processors
+    dst = np.asfortranarray(
+        section_owner_map(lhs_dist, lhs_section)).reshape(-1, order="F")
     if not ref_dist.is_replicated:
-        dst = np.asfortranarray(
-            section_owner_map(lhs_dist, lhs_section)).reshape(-1, order="F")
         src = np.asfortranarray(
             section_owner_map(ref_dist, ref_section)).reshape(-1, order="F")
         mask = src != dst
-        off = int(mask.sum())
-        local = int(mask.size - off)
-        pairs = src[mask] * p + dst[mask]
-        matrix = np.bincount(pairs, minlength=p * p).reshape(p, p)
-        return matrix, local, off
-    # Replicated operand: an iteration is local whenever the executing
-    # processor is *one of* the owners; otherwise fetch from the smallest
-    # owner.  Exact elementwise walk (sizes guarded).
-    size = lhs_section.size
-    if size > _REPLICATED_ORACLE_LIMIT:
-        raise MachineError(
-            f"replicated-ownership oracle refused for {size} elements")
-    matrix = np.zeros((p, p), dtype=np.int64)
-    local = off = 0
-    it_dom = lhs_section.domain()
-    for t in it_dom:
-        dst_u = lhs_dist.primary_owner(lhs_section.to_parent(t))
-        owners = ref_dist.owners(ref_section.to_parent(t))
-        if dst_u in owners:
-            local += 1
-        else:
-            off += 1
-            matrix[min(owners), dst_u] += 1
+    else:
+        # Replicated operand: an iteration is local whenever the executing
+        # processor is *one of* the owners; otherwise it fetches from the
+        # smallest owner.  One owner-mask pass per unit, largest first,
+        # so the smallest owner is written last.
+        slicer = section_slicer(ref_section)
+        src = np.empty(dst.size, dtype=np.int64)
+        local_mask = np.zeros(dst.size, dtype=bool)
+        for unit in reversed(ref_dist.processors()):
+            owns = ref_dist.owner_mask(unit)[slicer].reshape(-1, order="F")
+            src[owns] = unit
+            local_mask |= owns & (dst == unit)
+        mask = ~local_mask
+    off = int(mask.sum())
+    local = int(mask.size - off)
+    pairs = src[mask] * p + dst[mask]
+    matrix = np.bincount(pairs, minlength=p * p).reshape(p, p)
     return matrix, local, off
 
 
@@ -166,6 +173,24 @@ def _preimage(global_piece: Triplet, sec_triplet: Triplet) -> Triplet:
     return Triplet(p_lo, p_hi, stride).as_ascending_set()
 
 
+def _owned_lattices(dd: DimDistribution, coord: int
+                    ) -> tuple[int, tuple[Triplet, ...]]:
+    """``(blocks, triplets)``: how many pieces ``coord`` owns, and its
+    owned set as a union of triplets.  A ``CYCLIC(k)`` coordinate owning
+    more than ``k`` blocks enters as its ``k`` residue-class lattices
+    ``lo + c*k + r : last : k*P`` instead of its blocks, so the set's size
+    no longer grows with the dimension."""
+    if isinstance(dd, CyclicDim) and dd.k > 1:
+        first = dd.dim.lower + coord * dd.k
+        last = dd.dim.last
+        blocks = (last - first) // dd.period + 1 if first <= last else 0
+        if dd.k < blocks:
+            return blocks, tuple(Triplet(first + r, last, dd.period)
+                                 for r in range(dd.k))
+    owned = dd.owned(coord)
+    return len(owned), owned
+
+
 def _side_iteration_sets(dist: FormatDistribution, section: ArraySection,
                          piece_limit: int
                          ) -> dict[int, list[tuple[Triplet, ...]]]:
@@ -203,10 +228,10 @@ def _side_iteration_sets(dist: FormatDistribution, section: ArraySection,
             dd = dist.dims[j]
             sec_t = section.subscripts[j]
             pieces = []
-            owned = dd.owned(coord_of_dim[j])
-            if len(owned) > piece_limit:
+            blocks, owned = _owned_lattices(dd, coord_of_dim[j])
+            if blocks > piece_limit:
                 raise AnalyticUnsupported(
-                    f"{len(owned)} owned pieces exceed the analytic "
+                    f"{blocks} owned pieces exceed the analytic "
                     f"piece limit {piece_limit}")
             for og in owned:
                 pre = _preimage(og, sec_t)

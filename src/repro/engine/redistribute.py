@@ -2,12 +2,14 @@
 
 REDISTRIBUTE, REALIGN and procedure-boundary remaps (§4.2, §5.2, §7) move
 every element whose owner set changes.  :func:`price_remap` computes the
-exact (P, P) transfer matrix for a :class:`~repro.core.dataspace.RemapEvent`:
+exact (P, P) transfer matrix for a :class:`~repro.core.dataspace.RemapEvent`
+without walking the elements:
 
-* non-replicated old/new mappings: one dense owner-map comparison
-  (vectorized);
-* replication involved: per element, each *new* owner missing the element
-  receives one copy from the smallest old owner.
+* non-replicated old/new mappings: one dense owner-map comparison;
+* replication involved: each *new* owner missing an element receives one
+  copy from the element's smallest old owner — one pass of the bulk
+  :meth:`~repro.distributions.distribution.Distribution.owner_mask`
+  kernel per new owning unit, at any array size.
 
 :func:`charge_remap` classifies the resulting matrix
 (:mod:`repro.engine.lowering`) before depositing it: a replication remap
@@ -24,13 +26,9 @@ import numpy as np
 from repro.core.dataspace import RemapEvent
 from repro.engine.lowering import Lowering, classify_matrix
 from repro.errors import MachineError
-from repro.machine.message import Message
-from repro.machine.metrics import CommStats
 from repro.machine.simulator import DistributedMachine
 
 __all__ = ["price_remap", "charge_remap", "remap_lowering"]
-
-_REPLICATED_LIMIT = 1_000_000
 
 
 def price_remap(event: RemapEvent,
@@ -49,26 +47,20 @@ def price_remap(event: RemapEvent,
         raise MachineError(
             f"remap of {event.array!r} changes the index domain "
             f"({old.domain} -> {new.domain})")
+    src = old.smallest_owner_map().reshape(-1, order="F")
     if not old.is_replicated and not new.is_replicated:
-        om = old.primary_owner_map().reshape(-1, order="F")
         nm = new.primary_owner_map().reshape(-1, order="F")
-        mask = om != nm
+        mask = src != nm
         moved = int(mask.sum())
-        pairs = om[mask] * p + nm[mask]
+        pairs = src[mask] * p + nm[mask]
         matrix += np.bincount(pairs, minlength=p * p).reshape(p, p)
         return matrix, moved
-    if old.domain.size > _REPLICATED_LIMIT:
-        raise MachineError(
-            f"replicated remap pricing refused for {old.domain.size} "
-            "elements")
     moved = 0
-    for idx in old.domain:
-        old_owners = old.owners(idx)
-        src = min(old_owners)
-        for dst in new.owners(idx):
-            if dst not in old_owners:
-                matrix[src, dst] += 1
-                moved += 1
+    for dst in new.processors():
+        gained = (new.owner_mask(dst) & ~old.owner_mask(dst)).reshape(
+            -1, order="F")
+        matrix[:, dst] += np.bincount(src[gained], minlength=p)
+        moved += int(gained.sum())
     return matrix, moved
 
 
@@ -94,59 +86,3 @@ def charge_remap(machine: DistributedMachine, event: RemapEvent
     machine.charge_collective(matrix, remap_lowering(event, matrix),
                               tag=f"remap:{event.array}:{event.reason}")
     return matrix, moved
-
-
-def price_remap_collective(event: RemapEvent, config) -> tuple[float, int]:
-    """Alternative pricing of a remap as tree collectives.
-
-    Replication remaps (an element gaining many owners, e.g. a REALIGN
-    onto a ``*`` base subscript) are better implemented as broadcasts
-    than as point-to-point fan-out; this prices each element's fan-out
-    as a binomial-tree broadcast among its new owners and returns
-    ``(time_estimate, total_words)``.  Non-replicating remaps fall back
-    to the point-to-point matrix under the same cost model.
-    """
-    from repro.machine import collectives
-    p = config.n_processors
-    if event.old is None:
-        return 0.0, 0
-    new = event.new
-    if not new.is_replicated:
-        matrix, _ = price_remap(event, p)
-        time = 0.0
-        for s, d in zip(*np.nonzero(matrix)):
-            time += config.message_cost(int(s), int(d),
-                                        int(matrix[s, d]))
-        return time, int(matrix.sum())
-    if new.domain.size > _REPLICATED_LIMIT:
-        raise MachineError(
-            f"collective remap pricing refused for {new.domain.size} "
-            "elements")
-    # group elements by fan-out size; one broadcast tree per element
-    # batch of identical fan-out (elements broadcast together amortize
-    # the alpha across the batch's words)
-    fanout_words: dict[int, int] = {}
-    for idx in new.domain:
-        gained = len(new.owners(idx) - event.old.owners(idx))
-        if gained > 0:
-            fanout_words[gained + 1] = fanout_words.get(gained + 1,
-                                                        0) + 1
-    time = 0.0
-    words = 0
-    for participants, batch_words in fanout_words.items():
-        t, w = collectives.broadcast(config, batch_words, participants)
-        time += t
-        words += w
-    return time, words
-
-
-def total_remap_stats(events, n_processors: int) -> CommStats:
-    """Aggregate CommStats over a sequence of remap events."""
-    stats = CommStats(n_processors)
-    for event in events:
-        matrix, _ = price_remap(event, n_processors)
-        src, dst = np.nonzero(matrix)
-        for s, d in zip(src.tolist(), dst.tolist()):
-            stats.record_message(Message(s, d, int(matrix[s, d]),
-                                         event.reason))
-    return stats

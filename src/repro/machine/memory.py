@@ -32,15 +32,9 @@ class LocalMemory:
 
     def host(self, name: str, dist: Distribution) -> None:
         """Register (or refresh) the locally owned piece of ``name``."""
-        if dist.is_replicated:
-            # every owner stores a full copy of its owned subset; compute
-            # exactly via the owner sets
-            owned = [k for k, idx in enumerate(dist.domain)
-                     if self.unit in dist.owners(idx)]
-            positions = np.asarray(owned, dtype=np.int64)
-        else:
-            pmap = dist.primary_owner_map().reshape(-1, order="F")
-            positions = np.nonzero(pmap == self.unit)[0].astype(np.int64)
+        # every owner of a replicated element stores its own copy
+        owned = dist.owner_mask(self.unit).reshape(-1, order="F")
+        positions = np.flatnonzero(owned).astype(np.int64)
         self.owned_positions[name] = positions
         self.extents[name] = int(positions.size)
 

@@ -71,11 +71,22 @@ class ChainedAlignment:
             current = nxt
         return frozenset(current)
 
+    @property
+    def is_replicating(self) -> bool:
+        return any(link.is_replicating for link in self.links)
+
     def map_indices(self, indices: np.ndarray) -> np.ndarray:
         out = np.asarray(indices, dtype=np.int64)
         for link in self.links:
             out = link.map_indices(out)
         return out
+
+    def pullback(self, base_mask: np.ndarray) -> np.ndarray:
+        """OR of ``base_mask`` over each image: the links' pullbacks,
+        last link first."""
+        for link in reversed(self.links):
+            base_mask = link.pullback(base_mask)
+        return base_mask
 
     def image_arrays(self) -> np.ndarray:
         first = self.links[0].image_arrays()

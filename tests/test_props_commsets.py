@@ -101,6 +101,61 @@ def test_analytic_equals_oracle_2d(data):
     np.testing.assert_array_equal(m_oracle, m_analytic)
 
 
+#: (k, k') pairs: coprime and sharing a factor, equal, and mixed with k=1
+CYCLIC_PAIRS = [(3, 7), (5, 8), (4, 6), (2, 8), (6, 6), (1, 8), (7, 1)]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_cyclic_lattices_equal_oracle_1d(data):
+    """CYCLIC(k) -> CYCLIC(k') with more blocks than k per unit, so both
+    sides enter as residue lattices; strided and offset sections."""
+    k, k2 = data.draw(st.sampled_from(CYCLIC_PAIRS)
+                      | st.tuples(st.integers(1, 8), st.integers(1, 8)))
+    np_ = data.draw(st.integers(2, 6))
+    n = data.draw(st.integers(200, 900))
+    ds = DataSpace(np_)
+    ds.processors("PR", np_)
+    ds.declare("X", n)
+    ds.declare("Y", n)
+    ds.distribute("X", [Cyclic(k)], to="PR")
+    ds.distribute("Y", [Cyclic(k2)], to="PR")
+    lsec, rsec = data.draw(sections(n, 2))
+    dl, dr = ds.distribution_of("X"), ds.distribution_of("Y")
+    sl, sr = ds.section("X", lsec), ds.section("Y", rsec)
+    m_oracle, _, off = comm_matrix(dl, sl, dr, sr, np_)
+    m_analytic = words_matrix_from_pieces(
+        analytic_comm_sets(dl, sl, dr, sr), np_)
+    np.testing.assert_array_equal(m_oracle, m_analytic)
+    assert m_analytic.sum() == off
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_cyclic_lattices_equal_oracle_2d(data):
+    rows = data.draw(st.integers(2, 3))
+    cols = data.draw(st.integers(1, 3))
+    np_ = rows * cols
+    ds = DataSpace(np_)
+    ds.processors("PR", rows, cols)
+    n1, n2 = 90, 60
+    ds.declare("X", n1, n2)
+    ds.declare("Y", n1, n2)
+    pairs = st.sampled_from(CYCLIC_PAIRS)
+    (a, b), (c, d) = data.draw(pairs), data.draw(pairs)
+    ds.distribute("X", [Cyclic(a), Cyclic(c)], to="PR")
+    ds.distribute("Y", [Cyclic(b), Cyclic(d)], to="PR")
+    (l1, r1) = data.draw(sections(n1, 2))
+    (l2, r2) = data.draw(sections(n2, 2))
+    dl, dr = ds.distribution_of("X"), ds.distribution_of("Y")
+    sl = ds.section("X", l1, l2)
+    sr = ds.section("Y", r1, r2)
+    m_oracle, _, _ = comm_matrix(dl, sl, dr, sr, np_)
+    m_analytic = words_matrix_from_pieces(
+        analytic_comm_sets(dl, sl, dr, sr), np_)
+    np.testing.assert_array_equal(m_oracle, m_analytic)
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_remap_pricing_conserves_elements(data):
