@@ -73,20 +73,6 @@ def test_bench_simulated_statement(benchmark):
     assert report.total_words > 0
 
 
-def test_bench_message_accurate_statement(benchmark):
-    """Payload-routed execution of the same statement (values travel
-    through explicit messages), N=1e5."""
-    from repro.engine.distexec import MessageAccurateExecutor
-    n = 100_000
-    ds = _pair(n, 16)
-    machine = DistributedMachine(MachineConfig(16))
-    ex = MessageAccurateExecutor(ds, machine)
-    stmt = Assignment(ArrayRef("X", (Triplet(2, n),)),
-                      ArrayRef("Y", (Triplet(1, n - 1),)))
-    report = benchmark(ex.execute, stmt)
-    assert report.total_words > 0
-
-
 def test_bench_schedule_compile_1e6(benchmark):
     """Cold schedule compilation (cache cleared each round), N=1e6.
     Runs with no plan store: with one, every round after the first

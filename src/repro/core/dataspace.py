@@ -90,7 +90,7 @@ class ScheduleCache:
     steady state of a phase-change program stays hot.
 
     The table is bounded (LRU, ``maxsize`` entries): a schedule retains
-    O(iteration size) routing arrays, so a program sweeping over many
+    an O(iteration size) owner vector, so a program sweeping over many
     structurally distinct statements evicts its oldest schedules instead
     of accumulating them for the lifetime of the layout.
 

@@ -36,7 +36,6 @@ from repro.engine.commsets import comm_matrix, analytic_comm_sets, CommPiece
 from repro.engine.overlap import detect_shifts, overlap_plan, OverlapPlan
 from repro.engine.executor import Accountant, SimulatedExecutor, \
     ExecutionReport, charge_schedule
-from repro.engine.distexec import MessageAccurateExecutor
 from repro.engine.spmd import SpmdExecutor
 from repro.engine.redistribute import price_remap, charge_remap
 from repro.engine.ir import ProgramGraph
@@ -55,7 +54,7 @@ __all__ = [
     "detect_shifts", "overlap_plan", "OverlapPlan",
     "Accountant", "SimulatedExecutor", "ExecutionReport",
     "charge_schedule",
-    "MessageAccurateExecutor", "SpmdExecutor",
+    "SpmdExecutor",
     "price_remap", "charge_remap",
     "ProgramGraph", "ProgramRunner", "ProgramSchedule",
     "OptimizingAccountant",

@@ -53,8 +53,7 @@ from repro.fortran.section import ArraySection
 from repro.fortran.triplet import EMPTY_TRIPLET, Triplet
 
 __all__ = ["comm_matrix", "analytic_comm_sets", "CommPiece",
-           "AnalyticUnsupported", "words_matrix_from_pieces",
-           "build_routing"]
+           "AnalyticUnsupported", "words_matrix_from_pieces"]
 
 
 class AnalyticUnsupported(MachineError):
@@ -101,34 +100,6 @@ def comm_matrix(lhs_dist: Distribution, lhs_section: ArraySection,
     pairs = src[mask] * p + dst[mask]
     matrix = np.bincount(pairs, minlength=p * p).reshape(p, p)
     return matrix, local, off
-
-
-def build_routing(src: np.ndarray, dst: np.ndarray, n_processors: int
-                  ) -> tuple[np.ndarray, tuple[tuple[int, int, np.ndarray],
-                                               ...]]:
-    """Compile the message routing of one reference from its flattened
-    owner maps: the boolean local mask plus one ``(src, dst, positions)``
-    chunk per (sender, receiver) pair, in sender-major order.
-
-    One stable argsort groups every off-processor iteration by its
-    (src, dst) pair; the chunks are contiguous slices of the sorted
-    position vector, so materializing a schedule's messages is pure array
-    slicing.  Consumed by the schedule compiler
-    (:mod:`repro.engine.schedule`) and, through it, by the payload-routing
-    executor.
-    """
-    local_mask = src == dst
-    remote = np.nonzero(~local_mask)[0]
-    chunks: list[tuple[int, int, np.ndarray]] = []
-    if remote.size:
-        pairs = src[remote] * n_processors + dst[remote]
-        order = np.argsort(pairs, kind="stable")
-        sorted_pos = remote[order]
-        sorted_pairs = pairs[order]
-        boundaries = np.nonzero(np.diff(sorted_pairs))[0] + 1
-        for chunk in np.split(sorted_pos, boundaries):
-            chunks.append((int(src[chunk[0]]), int(dst[chunk[0]]), chunk))
-    return local_mask, tuple(chunks)
 
 
 # ----------------------------------------------------------------------

@@ -175,7 +175,7 @@ def charge_schedule(machine: DistributedMachine, sched, tag: str = "",
     :class:`~repro.engine.spmd.SpmdExecutor`: both executors deposit the
     same schedule objects through it, so their words matrices, ledger
     records, per-pattern attribution and elapsed model are bit-identical
-    by construction (the three-way differential harness re-proves it).
+    by construction (the differential harness re-proves it).
     Deposits route through ``accountant`` (default: charge unchanged);
     the report's ``per_ref``/``patterns`` attribution is always the full
     logical traffic, while ``charged_words``/``comm_actions`` record

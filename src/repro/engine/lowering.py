@@ -7,8 +7,8 @@ traffic for stencils.  :mod:`repro.machine.collectives` prices those
 structures, but a words matrix deposited through the raw point-to-point
 model never reaches them.  This module closes that gap: it inspects the
 exact (P, P) words matrix of a compiled
-:class:`~repro.engine.schedule.CommSchedule` reference (or route, or
-remap event) and classifies the traffic as one of
+:class:`~repro.engine.schedule.CommSchedule` reference (or remap
+event) and classifies the traffic as one of
 
 * ``SHIFT``      — banded stencil exchange: the nonzero (src, dst) pairs
   fall into a handful of circular offsets, each offset a partial
@@ -49,8 +49,7 @@ from repro.machine import collectives
 from repro.machine.config import MachineConfig
 
 __all__ = ["Pattern", "Lowering", "POINTWISE_LOWERING", "classify_matrix",
-           "coalesce_deposits", "fused_transfer_matrix",
-           "matrix_from_chunks", "p2p_time"]
+           "coalesce_deposits", "p2p_time"]
 
 #: fraction of off-diagonal (src, dst) pairs that must be nonzero for a
 #: matrix to count as a dense ALLTOALL remap
@@ -216,28 +215,6 @@ def coalesce_deposits(deposits) -> tuple[np.ndarray, Lowering]:
         replicated = replicated and lowering.pattern in (
             Pattern.BROADCAST, Pattern.ALLGATHER)
     return merged, classify_matrix(merged, replicated=replicated)
-
-
-def matrix_from_chunks(chunks, n_processors: int) -> np.ndarray:
-    """The (P, P) words matrix of a compiled route's
-    ``(src, dst, positions)`` chunks (one entry per message)."""
-    matrix = np.zeros((n_processors, n_processors), dtype=np.int64)
-    for src, dst, positions in chunks:
-        matrix[src, dst] += int(len(positions))
-    return matrix
-
-
-def fused_transfer_matrix(peer_plans, n_processors: int) -> np.ndarray:
-    """The (P, P) words matrix implied by a schedule's fused per-peer
-    transfer plans.  Peer plans concatenate every leaf's chunks for one
-    (src, dst) pair, so this equals the sum of the per-leaf route
-    matrices — the invariant that lets the SPMD backend execute one
-    fused gather per peer while charging the machine the per-reference
-    matrices unchanged."""
-    matrix = np.zeros((n_processors, n_processors), dtype=np.int64)
-    for plan in peer_plans or ():
-        matrix[plan.src, plan.dst] += plan.words
-    return matrix
 
 
 def p2p_time(config: MachineConfig, words: np.ndarray) -> float:

@@ -515,11 +515,10 @@ class ProgramRunner:
     """Executes a :class:`~repro.engine.ir.ProgramGraph` against a data
     space and machine under one execution backend and opt level.
 
-    ``backend`` is a :class:`~repro.machine.backend.Backend` spec
-    (``Backend.simulate()`` — the ``None`` default — or
-    ``Backend.spmd(...)``), or the literal ``'message'`` for the
-    payload-routing diagnostic executor — all
-    three consume the same compiled schedules through the shared
+    ``backend`` is a :class:`~repro.machine.backend.Backend` spec:
+    ``Backend.simulate()`` (the ``None`` default) or
+    ``Backend.spmd(...)``.  Both executors charge the same compiled
+    schedules through the shared
     :func:`~repro.engine.executor.charge_schedule` deposit seam, so the
     optimizer's decisions (and the resulting machine state) are backend
     independent while numerics come from whichever engine was asked.
@@ -541,12 +540,8 @@ class ProgramRunner:
         #: fusion-window size; ``None`` sizes it per graph at :meth:`run`
         #: via :func:`adaptive_window`
         self.opt_window = opt_window
-        if backend == "message":
-            from repro.engine.distexec import MessageAccurateExecutor
-            self.executor = MessageAccurateExecutor(ds, machine)
-        else:
-            from repro.machine.backend import make_executor
-            self.executor = make_executor(ds, machine, backend)
+        from repro.machine.backend import make_executor
+        self.executor = make_executor(ds, machine, backend)
         self.accountant = (OptimizingAccountant(
             ds, machine, self.opt_level,
             window=opt_window if opt_window is not None else _WINDOW_LIMIT)
@@ -640,6 +635,7 @@ class ProgramRunner:
 
             for k in range(loop.count):
                 visit(loop.body, k)
+            del visit       # break the self-reference (see run_nodes)
 
         def adapt(proposal) -> None:
             # actuation goes through the ordinary REDISTRIBUTE path:
@@ -704,6 +700,10 @@ class ProgramRunner:
         try:
             run_nodes(graph.nodes, 0)
         finally:
+            # run_nodes references itself through its closure cell; drop
+            # it so what the run reached is freed by reference counting,
+            # not at whichever later cyclic collection happens to run
+            del run_nodes
             if acct is not None:
                 acct.flush()
         return ProgramRunResult(
@@ -714,18 +714,12 @@ class ProgramRunner:
 
     # ------------------------------------------------------------------
     def _plan(self, index: int, report) -> StatementPlan:
-        actions = []
-        patterns = getattr(report, "patterns", {})
-        comm = getattr(report, "comm_actions", {})
-        for ref, matrix, _, _ in getattr(report, "per_ref", ()):
-            actions.append(CommAction(
-                ref, comm.get(ref, "charged"), int(matrix.sum()),
-                patterns.get(ref, "pointwise")))
-        if not actions:     # message-accurate reports carry routes
-            for ref, action in comm.items():
-                actions.append(CommAction(
-                    ref, action, 0, patterns.get(ref, "pointwise")))
-        return StatementPlan(index, str(report.statement), tuple(actions))
+        actions = tuple(
+            CommAction(ref, report.comm_actions.get(ref, "charged"),
+                       int(matrix.sum()),
+                       report.patterns.get(ref, "pointwise"))
+            for ref, matrix, _, _ in report.per_ref)
+        return StatementPlan(index, str(report.statement), actions)
 
     def _remap(self, index: int, node) -> RemapPlan:
         if self.accountant is not None:

@@ -16,8 +16,7 @@ A content key has three ingredients:
 
 * the **statement structure** — the frozen :class:`Assignment` itself
   (structural equality), plus the compile options ``(p, strategy,
-  use_overlap, routing, identity signature)`` the per-scope cache
-  already keys on;
+  use_overlap)`` the per-scope cache already keys on;
 * one **per-array layout key** for every array the statement touches:
   ``(name, dtype, distribution class, describe(), domain bounds,
   blake2b digest of the memoized primary owner map, replication)`` —
@@ -166,12 +165,10 @@ def distribution_key(name: str, dtype, dist) -> tuple:
 
 
 def statement_content_key(ds, stmt, n_processors: int, strategy: str,
-                          use_overlap: bool, routing: bool,
-                          identity_sig) -> tuple:
+                          use_overlap: bool) -> tuple:
     """The scope-independent content key of one compiled schedule."""
     names = sorted({stmt.lhs.name, *(r.name for r in stmt.rhs.refs())})
-    return ("sched", stmt, n_processors, strategy, use_overlap, routing,
-            identity_sig, ds.ap.size,
+    return ("sched", stmt, n_processors, strategy, use_overlap, ds.ap.size,
             tuple(distribution_key(name, ds.arrays[name].dtype,
                                    ds.distribution_of(name))
                   for name in names))

@@ -11,18 +11,17 @@ array assignment against the current layout of a :class:`DataSpace` —
 * one :class:`RefSchedule` per RHS reference occurrence: the exact
   (P, P) words matrix, the local/off-processor split, and which strategy
   (analytic regular sections / dense oracle) produced it;
-* when compiled ``with routing``, one :class:`RouteSchedule` per *unique*
-  RHS leaf: the boolean local mask plus the per-(src, dst) iteration
-  position chunks a payload-carrying executor ships — so repeated
-  statements re-gather values with array slicing instead of recomputing
-  sets;
 * the SUPERB-style ghost-region :class:`OverlapPlan` when requested;
-* one :class:`~repro.engine.lowering.Lowering` per reference, route and
+* one :class:`~repro.engine.lowering.Lowering` per reference and
   overlap plan: the compile-time pattern classification (SHIFT /
   BROADCAST / ALLGATHER / ALLTOALL / POINTWISE) the executors hand to
   :meth:`~repro.machine.simulator.DistributedMachine.charge_collective`
   so recognized traffic is priced with collective-tree formulas while
   the words matrices stay bit-identical.
+
+There is one schedule per statement: every executor charges it, and the
+SPMD backend (:mod:`repro.engine.spmd`) derives its per-worker pulls
+from the same LHS owner vector plus each operand's owner map.
 
 Schedules are compiled once per (layout epoch, statement structure,
 machine width, strategy) and memoized in the data space's
@@ -46,7 +45,6 @@ from repro.engine.assignment import Assignment
 from repro.engine.commsets import (
     AnalyticUnsupported,
     analytic_comm_sets,
-    build_routing,
     comm_matrix,
     words_matrix_from_pieces,
 )
@@ -56,7 +54,6 @@ from repro.engine.lowering import (
     POINTWISE_LOWERING,
     Pattern,
     classify_matrix,
-    matrix_from_chunks,
 )
 from repro.engine.overlap import OverlapPlan, overlap_plan
 from repro.engine.owner_computes import section_owner_map
@@ -64,10 +61,9 @@ from repro.engine.planstore import (
     active_plan_store,
     statement_content_key,
 )
-from repro.errors import MachineError
 
-__all__ = ["CommSchedule", "PeerPlan", "RefSchedule", "RouteSchedule",
-           "flat_storage_index", "schedule_for", "unique_refs"]
+__all__ = ["CommSchedule", "RefSchedule", "flat_storage_index",
+           "schedule_for", "unique_refs"]
 
 
 def flat_storage_index(ds: DataSpace, ref: ArrayRef, it_shape,
@@ -127,57 +123,6 @@ class RefSchedule:
 
 
 @dataclass(frozen=True)
-class RouteSchedule:
-    """Compiled routing of one unique RHS leaf (payload execution).
-
-    ``chunks`` holds one ``(src, dst, positions)`` entry per message: the
-    linear iteration positions whose operand element travels src -> dst.
-    Positions depend only on the layout, so they are compiled once;
-    payload values are gathered per execution with one fancy-index each.
-    ``words`` aggregates the chunks into the (P, P) matrix the machine is
-    charged with, and ``lowering`` is its pattern classification.
-    """
-
-    ref: str
-    local_mask: np.ndarray
-    n_local: int
-    n_remote: int
-    chunks: tuple[tuple[int, int, np.ndarray], ...]
-    words: np.ndarray
-    lowering: Lowering = POINTWISE_LOWERING
-    #: name of the array the route reads (the halo-validity key)
-    source: str = ""
-
-    @property
-    def pattern(self) -> str:
-        return self.lowering.pattern.value
-
-
-@dataclass(frozen=True)
-class PeerPlan:
-    """The fused transfer plan of one ``(src, dst)`` unit pair: every
-    RHS leaf's traffic between the pair, concatenated in leaf order.
-
-    ``segments`` holds ``(leaf, positions)`` pairs — the unique-leaf
-    index (aligned with :attr:`CommSchedule.routes`) and the linear
-    iteration positions whose operand element travels src -> dst for
-    that leaf.  Peer plans are a pure regrouping of the per-leaf route
-    chunks: summing them reproduces the routes' words matrices exactly
-    (:func:`repro.engine.lowering.fused_transfer_matrix`), which is what
-    lets the SPMD backend ship one concatenated gather per peer while
-    the machine is still charged the bit-identical per-reference
-    matrices."""
-
-    src: int
-    dst: int
-    segments: tuple[tuple[int, np.ndarray], ...]
-
-    @property
-    def words(self) -> int:
-        return int(sum(pos.size for _, pos in self.segments))
-
-
-@dataclass(frozen=True)
 class CommSchedule:
     """Everything needed to execute one statement against one layout."""
 
@@ -191,10 +136,6 @@ class CommSchedule:
     #: per-processor elementwise-operation counts for the statement
     work: np.ndarray
     refs: tuple[RefSchedule, ...]
-    routes: tuple[RouteSchedule, ...] | None = None
-    #: fused per-(src, dst) transfer plans (routing schedules only):
-    #: the routes' chunks regrouped by peer pair, in (src, dst) order
-    peer_plans: tuple[PeerPlan, ...] | None = None
     overlap: OverlapPlan | None = None
     #: pattern classification of the overlap exchange, when one exists
     overlap_lowering: Lowering | None = None
@@ -215,8 +156,6 @@ class CommSchedule:
         overlap exchange) — the attribution executors copy into reports."""
         if self.overlap is not None and self.overlap_lowering is not None:
             return {"*": self.overlap_lowering.pattern.value}
-        if self.routes is not None:
-            return {r.ref: r.pattern for r in self.routes}
         return {r.ref: r.pattern for r in self.refs}
 
     @property
@@ -237,8 +176,8 @@ class CommSchedule:
 # ----------------------------------------------------------------------
 def unique_refs(expr: Expr) -> list[ArrayRef]:
     """Unique-by-identity ArrayRef leaves in first-occurrence order (a
-    shared leaf object is routed once; structurally equal but distinct
-    leaves are routed separately — the payload executor's contract)."""
+    shared leaf object is gathered once; structurally equal but distinct
+    leaves are gathered separately — the SPMD operand contract)."""
     out: list[ArrayRef] = []
     seen: set[int] = set()
 
@@ -255,36 +194,17 @@ def unique_refs(expr: Expr) -> list[ArrayRef]:
     return out
 
 
-def _identity_signature(expr: Expr) -> tuple[int, ...]:
-    """Group number of every RHS leaf occurrence, numbered by first
-    appearance of the leaf *object* — distinguishes ``x + x`` (one shared
-    leaf) from two structurally equal leaves for routing purposes."""
-    groups: dict[int, int] = {}
-    sig: list[int] = []
-
-    def walk(e: Expr) -> None:
-        if isinstance(e, ArrayRef):
-            sig.append(groups.setdefault(id(e), len(groups)))
-        elif isinstance(e, BinExpr):
-            walk(e.left)
-            walk(e.right)
-
-    walk(expr)
-    return tuple(sig)
-
-
 # ----------------------------------------------------------------------
 # Compilation
 # ----------------------------------------------------------------------
 def schedule_for(ds: DataSpace, stmt: Assignment, n_processors: int, *,
-                 strategy: str = "auto", use_overlap: bool = False,
-                 routing: bool = False) -> CommSchedule:
+                 strategy: str = "auto", use_overlap: bool = False
+                 ) -> CommSchedule:
     """The compiled schedule for ``stmt`` under the current layout.
 
     Memoized on the data space: repeated identical statements (the Jacobi
     pattern) return the cached object; REDISTRIBUTE / REALIGN invalidate.
-    Statement keys are structural (frozen dataclasses), with the leaf
-    identity signature added for routing schedules.
+    Statement keys are structural (frozen dataclasses).
 
     Above the per-scope cache sits the process-wide
     :class:`~repro.engine.planstore.PlanStore`: on a local miss the
@@ -295,9 +215,7 @@ def schedule_for(ds: DataSpace, stmt: Assignment, n_processors: int, *,
     recompiled.  The per-scope cache still records its own miss either
     way (its counters keep meaning "not resident in this scope").
     """
-    identity_sig = _identity_signature(stmt.rhs) if routing else None
-    key = (stmt, n_processors, strategy, use_overlap, routing,
-           identity_sig)
+    key = (stmt, n_processors, strategy, use_overlap)
     cache = ds.schedule_cache
     hit = cache.get(key)
     if hit is not None:
@@ -314,7 +232,7 @@ def schedule_for(ds: DataSpace, stmt: Assignment, n_processors: int, *,
     content = None
     if store is not None:
         content = statement_content_key(ds, stmt, n_processors, strategy,
-                                        use_overlap, routing, identity_sig)
+                                        use_overlap)
         shared = store.get(content)
         if shared is not None:
             adopted = dataclasses.replace(shared, epoch=ds.layout_epoch)
@@ -323,7 +241,7 @@ def schedule_for(ds: DataSpace, stmt: Assignment, n_processors: int, *,
             object.__setattr__(adopted, "plan_key", content)
             cache.put(key, adopted, arrays)
             return adopted
-    sched = _compile(ds, stmt, n_processors, strategy, use_overlap, routing)
+    sched = _compile(ds, stmt, n_processors, strategy, use_overlap)
     cache.put(key, sched, arrays)
     if store is not None:
         object.__setattr__(sched, "plan_key", content)
@@ -332,7 +250,7 @@ def schedule_for(ds: DataSpace, stmt: Assignment, n_processors: int, *,
 
 
 def _compile(ds: DataSpace, stmt: Assignment, p: int, strategy: str,
-             use_overlap: bool, routing: bool) -> CommSchedule:
+             use_overlap: bool) -> CommSchedule:
     if strategy not in ("auto", "oracle", "analytic"):
         raise ValueError(f"unknown strategy {strategy!r}")
     shape = stmt.validate(ds)
@@ -346,12 +264,8 @@ def _compile(ds: DataSpace, stmt: Assignment, p: int, strategy: str,
 
     plan = overlap_plan(ds, stmt, p) if use_overlap else None
 
-    # Counting matrices are compiled for the statement-counting executor
-    # only; routing schedules ship actual payloads and never consult the
-    # (potentially replicated-operand) counting oracle, matching the
-    # payload executor's historical semantics.
     refs: list[RefSchedule] = []
-    for ref in stmt.rhs.refs() if not routing else ():
+    for ref in stmt.rhs.refs():
         ref_dist = ds.distribution_of(ref.name)
         ref_section = ref.section(ds)
         used = "oracle"
@@ -404,54 +318,11 @@ def _compile(ds: DataSpace, stmt: Assignment, p: int, strategy: str,
             str(ref), matrix, local, off, used, lowering,
             source=ref.name, ghosts=ghosts))
 
-    routes: tuple[RouteSchedule, ...] | None = None
-    peer_plans: tuple[PeerPlan, ...] | None = None
-    if routing:
-        it_size = int(dst.size)
-        compiled = []
-        for ref in unique_refs(stmt.rhs):
-            ref_dist = ds.distribution_of(ref.name)
-            ref_section = ref.section(ds)
-            src = np.asfortranarray(
-                section_owner_map(ref_dist, ref_section)).reshape(
-                    -1, order="F")
-            if src.size != it_size:
-                raise MachineError(
-                    f"reference {ref} not conformable with the iteration "
-                    "space")
-            local_mask, chunks = build_routing(src, dst, p)
-            local_mask.setflags(write=False)
-            for _, _, positions in chunks:
-                positions.setflags(write=False)
-            route_words = matrix_from_chunks(chunks, p)
-            route_words.setflags(write=False)
-            # routes never claim the replicated (broadcast) discount:
-            # chunks partition the iteration space, so every shipped
-            # payload is a distinct piece even when the array's storage
-            # is replicated — scatter-shaped by construction
-            compiled.append(RouteSchedule(
-                str(ref), local_mask, int(local_mask.sum()),
-                int(it_size - local_mask.sum()), chunks, route_words,
-                classify_matrix(route_words), source=ref.name))
-        routes = tuple(compiled)
-        # regroup the per-leaf chunks by (src, dst) peer pair — the
-        # fused transfer plans a payload backend ships as one gather
-        buckets: dict[tuple[int, int], list] = {}
-        for leaf, route in enumerate(routes):
-            for src_u, dst_u, positions in route.chunks:
-                if positions.size:
-                    buckets.setdefault((src_u, dst_u), []).append(
-                        (leaf, positions))
-        peer_plans = tuple(
-            PeerPlan(src_u, dst_u, tuple(segments))
-            for (src_u, dst_u), segments in sorted(buckets.items()))
-
     dst.setflags(write=False)
     return CommSchedule(
         statement=str(stmt), n_processors=p, epoch=ds.layout_epoch,
         iteration_shape=tuple(shape), lhs_owner_flat=dst, work=work,
-        refs=tuple(refs), routes=routes, peer_plans=peer_plans,
-        overlap=plan,
+        refs=tuple(refs), overlap=plan,
         overlap_lowering=(classify_matrix(plan.words)
                           if plan is not None else None),
         lhs_name=stmt.lhs.name,

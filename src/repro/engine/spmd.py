@@ -1,22 +1,24 @@
 """Shared-memory SPMD execution backend: real workers, compiled schedules.
 
-Every other executor in this repo *models* the node program; this one
-runs it.  Each abstract processor of the machine (or a contiguous group
-of them, when ``n_workers`` is smaller than the machine) becomes a real
-worker executing the *already-compiled* routing schedules of
+The simulated executor *models* the node program; this one runs it.
+Each abstract processor of the machine (or a contiguous group of them,
+when ``n_workers`` is smaller than the machine) becomes a real worker
+executing plans derived from the compiled schedules of
 :mod:`repro.engine.schedule`.
 
 The master compiles each fusion window — a run of statements with no
 cross-statement read/write overlap; a lone statement is the degenerate
 one-statement window — into one :class:`WindowTask` per worker.  All
-index arithmetic is done at compile time: iteration positions are
-lowered to flat Fortran-order storage indices, every peer's traffic is
-concatenated into one gather per (src worker, array) pair
-(:class:`~repro.engine.schedule.PeerPlan`, regrouped per worker), a
-contiguous block-face transfer becomes a zero-copy ``(lo, hi)`` window
-sliced straight out of the shared segment, and the whole window
-synchronizes on a **single phase barrier** separating every operand
-read from every owner-computes write (Fortran array semantics).
+index arithmetic is done at compile time, straight from owner maps: an
+iteration runs on the worker owning its LHS element (the schedule's LHS
+owner vector), each operand is pulled from the worker holding its
+primary copy, positions are lowered to flat Fortran-order storage
+indices, every peer's traffic is concatenated into one gather per
+(src worker, array) pair, a contiguous block-face transfer becomes a
+zero-copy ``(lo, hi)`` window sliced straight out of the shared segment,
+and the whole window synchronizes on a **single phase barrier**
+separating every operand read from every owner-computes write (Fortran
+array semantics).
 
 The same plans run two ways.  **Dispatch** (:meth:`SpmdExecutor.execute`
 / :meth:`~SpmdExecutor.execute_all`) sends one message and awaits one
@@ -55,9 +57,9 @@ are bit-identical to the simulated run, while the numeric
 results are produced exclusively by the parallel workers and proven
 equal to the sequential reference by the differential harness.
 
-Compiled window plans are memoized per routing-schedule set and shipped
-to each worker once; steady-state statements (Jacobi iterations 2..N)
-send only a small task key.
+Compiled window plans are memoized per schedule set and shipped to each
+worker once; steady-state statements (Jacobi iterations 2..N) send only
+a small task key.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ from repro.engine.assignment import Assignment
 from repro.engine.executor import ExecutionReport, charge_schedule
 from repro.engine.expr import ArrayRef, BinExpr, Expr, ScalarLit, \
     section_slicer
+from repro.engine.owner_computes import section_owner_map
 from repro.engine.planstore import active_plan_store
 from repro.engine.schedule import flat_storage_index as _flat_store_index
 from repro.engine.schedule import schedule_for, unique_refs
@@ -791,60 +794,55 @@ def _slots_spec(slots: np.ndarray) -> Any:
     return slots
 
 
-def _compile_window(ds: DataSpace, route_scheds: Sequence[Any],
+def _compile_window(ds: DataSpace, scheds: Sequence[Any],
                     stmts: Sequence[Assignment], p: int, w: int
                     ) -> tuple[WindowTask, ...]:
     """Compile one fusion window into per-worker :class:`WindowTask`
-    plans: regroup the schedules' unit-level
-    :class:`~repro.engine.schedule.PeerPlan` transfers by worker, lower
-    every position set to flat storage indices, fuse all pulls with the
-    same (source worker, array) into one concatenated gather, and turn
-    contiguous runs into zero-copy windows."""
+    plans straight from owner maps: an iteration executes on
+    ``wmap[lhs owner]`` (the schedule's LHS owner vector) and each unique
+    leaf's operand is pulled from ``wmap[primary owner]`` of its section.
+    Every position set is lowered to flat storage indices, all pulls with
+    the same (source worker, array) are fused into one concatenated
+    gather, and contiguous runs become zero-copy windows."""
     wmap = (np.arange(p, dtype=np.int64) * w) // p
     writes = {stmt.lhs.name for stmt in stmts}
     names = tuple(sorted({name for stmt in stmts
                           for name in (stmt.lhs.name,
                                        *(r.name for r in stmt.rhs.refs()))}))
+    # worker-level owner vectors, shared by every worker's plan
+    owners: list[tuple[np.ndarray, list[ArrayRef], list[np.ndarray]]] = []
+    for stmt, sched in zip(stmts, scheds):
+        leaves = unique_refs(stmt.rhs)
+        sources = [wmap[np.asfortranarray(section_owner_map(
+            ds.distribution_of(ref.name), ref.section(ds))).reshape(
+                -1, order="F")] for ref in leaves]
+        owners.append((wmap[sched.lhs_owner_flat], leaves, sources))
     tasks: list[WindowTask] = []
     for worker in range(w):
         # [name, size, dtype, view] per operand; frozen at the end
         ops: list[list[Any]] = []
-        #: gather entries in discovery order:
+        #: gather entries in discovery order, one per (leaf, src worker):
         #: (src worker, array, operand, slots, flat gather index)
         raw: list[tuple[int, str, int, np.ndarray, np.ndarray]] = []
         plans: list[StmtPlan] = []
-        for stmt, rsched in zip(stmts, route_scheds):
-            mask = wmap[rsched.lhs_owner_flat] == worker
-            my_pos = np.nonzero(mask)[0]
-            it_shape = rsched.iteration_shape
+        for stmt, sched, (exec_w, leaves, sources) in zip(
+                stmts, scheds, owners):
+            my_pos = np.nonzero(exec_w == worker)[0]
+            it_shape = sched.iteration_shape
             widx = _flat_store_index(ds, stmt.lhs, it_shape, my_pos)
             wbounds = _contiguous_bounds(widx)
-            leaves = unique_refs(stmt.rhs)
             op_ids: list[int] = []
-            op_of_leaf: dict[int, tuple[int, ArrayRef]] = {}
-            for leaf_i, (ref, route) in enumerate(
-                    zip(leaves, rsched.routes)):
+            for ref, src_w in zip(leaves, sources):
                 op = len(ops)
                 op_ids.append(op)
-                op_of_leaf[leaf_i] = (op, ref)
                 ops.append([ref.name, int(my_pos.size),
                             ds.arrays[ref.name].dtype, None])
-                local_pos = np.nonzero(route.local_mask & mask)[0]
-                if local_pos.size:
-                    raw.append((worker, ref.name, op,
-                                np.searchsorted(my_pos, local_pos),
-                                _flat_store_index(ds, ref, it_shape,
-                                                  local_pos)))
-            for plan in rsched.peer_plans or ():
-                if wmap[plan.dst] != worker:
-                    continue
-                src_worker = int(wmap[plan.src])
-                for leaf_i, positions in plan.segments:
-                    op, ref = op_of_leaf[leaf_i]
-                    raw.append((src_worker, ref.name, op,
-                                np.searchsorted(my_pos, positions),
-                                _flat_store_index(ds, ref, it_shape,
-                                                  positions)))
+                mine = src_w[my_pos]
+                flat = _flat_store_index(ds, ref, it_shape, my_pos)
+                for src_worker in np.unique(mine).tolist():
+                    slots = np.nonzero(mine == src_worker)[0]
+                    raw.append((src_worker, ref.name, op, slots,
+                                flat[slots]))
             plans.append(StmtPlan(
                 lhs_name=stmt.lhs.name,
                 lhs_dtype=ds.arrays[stmt.lhs.name].dtype,
@@ -857,8 +855,8 @@ def _compile_window(ds: DataSpace, route_scheds: Sequence[Any],
         # whose slots are the identity and whose flat index is one
         # contiguous run of an array nothing in the window writes is
         # sliced straight out of shared storage — drop its pull.
-        # (Slots from searchsorted over a position partition are
-        # strictly increasing, so full length implies identity.)
+        # (Slots index the worker's positions in increasing order, so
+        # full length implies identity.)
         feeds: dict[int, int] = {}
         for _, _, op, _, _ in raw:
             feeds[op] = feeds.get(op, 0) + 1
@@ -914,11 +912,10 @@ class SpmdExecutor:
     Drop-in for :class:`~repro.engine.executor.SimulatedExecutor`: the
     same constructor shape, the same :class:`ExecutionReport`, the same
     machine charges — but the numeric effect is produced by ``n_workers``
-    concurrent workers executing the compiled routing schedules over
-    shared memory, one phase barrier per fusion window.  Use as a
-    context manager (or call :meth:`close`) to release the worker pool;
-    a closed executor transparently restarts its pool on the next
-    :meth:`execute`.
+    concurrent workers executing compiled window plans over shared
+    memory, one phase barrier per fusion window.  Use as a context
+    manager (or call :meth:`close`) to release the worker pool; a closed
+    executor transparently restarts its pool on the next :meth:`execute`.
     """
 
     def __init__(self, ds: DataSpace, machine: DistributedMachine, *,
@@ -953,7 +950,7 @@ class SpmdExecutor:
         self.accountant: Any = None
         self._pool: _WorkerPool | None = None
         #: cache key -> (serial, per-worker tasks, schedule pins); keys
-        #: are id(routing schedule) tuples, pinning the schedule objects
+        #: are id(counting schedule) tuples, pinning the schedule objects
         #: so ids stay unique while cached
         self._tasks: dict[Any, Any] = {}
         self._serial = 0
@@ -1015,7 +1012,7 @@ class SpmdExecutor:
         """Pool coverage + array binding, shared by dispatch and replay.
 
         Layout mutations need no sweep here: window plans are keyed on
-        the *identity* of routing-schedule objects pinned in the LRU, and
+        the *identity* of counting-schedule objects pinned in the LRU, and
         a REDISTRIBUTE/REALIGN/DEALLOCATE drops the affected schedules
         from the :class:`~repro.core.dataspace.ScheduleCache`, so the
         next ``schedule_for`` returns a fresh object — a natural task
@@ -1086,14 +1083,14 @@ class SpmdExecutor:
             return reports
         t0 = perf_counter()
         windows = self._windows(stmts)
-        # compile every window's routing + counting schedules once —
-        # trip invariance makes trip 0's schedules valid for all trips
+        # compile every window's schedules once — trip invariance makes
+        # trip 0's schedules valid for all trips
         compiled = [self._compile(window) for window in windows]
         pool = self._prepare(
-            {name for _, _, names in compiled for name in names})
+            {name for _, names in compiled for name in names})
         serials: list[int] = []
-        for window, (routes, _, _) in zip(windows, compiled):
-            serial, tasks = self._plans_for(routes, window, serials)
+        for window, (scheds, _) in zip(windows, compiled):
+            serial, tasks = self._plans_for(scheds, window, serials)
             pool.send_task(serial, tasks)
             serials.append(serial)
         with self._lock:
@@ -1107,7 +1104,7 @@ class SpmdExecutor:
         # progress)
         loop_reports: list[ExecutionReport] = []
         for _ in range(trips):
-            for _, counts, _ in compiled:
+            for counts, _ in compiled:
                 # two SenseBarrier crossings per window per trip: the
                 # pre-write phase barrier + the post-write crossing
                 # replacing the coordinator ack round
@@ -1132,25 +1129,23 @@ class SpmdExecutor:
         return windows
 
     def _compile(self, stmts: Sequence[Assignment]
-                 ) -> tuple[list[Any], list[Any], set[str]]:
+                 ) -> tuple[list[Any], set[str]]:
         """One window's compile prologue: validate every statement and
-        fetch its routing schedule (what the workers execute) and its
-        counting schedule (what the coordinator charges); returns them
-        with the array names the window touches."""
+        fetch its schedule — what the coordinator charges and what the
+        window plan's owner vectors come from; returns the schedules with
+        the array names the window touches."""
         ds = self.ds
         p = self.machine.config.n_processors
-        route_scheds: list[Any] = []
-        count_scheds: list[Any] = []
+        scheds: list[Any] = []
         names: set[str] = set()
         for stmt in stmts:
             stmt.validate(ds)
-            route_scheds.append(schedule_for(ds, stmt, p, routing=True))
-            count_scheds.append(
+            scheds.append(
                 schedule_for(ds, stmt, p, strategy=self.strategy,
                              use_overlap=self.use_overlap))
             names.add(stmt.lhs.name)
             names.update(r.name for r in stmt.rhs.refs())
-        return route_scheds, count_scheds, names
+        return scheds, names
 
     def _charge(self, count_scheds: Sequence[Any], tag: str,
                 barriers: int) -> list[ExecutionReport]:
@@ -1175,14 +1170,14 @@ class SpmdExecutor:
         """Dispatch one fusion window: one message, one phase barrier,
         one ack round."""
         t0 = perf_counter()
-        route_scheds, count_scheds, names = self._compile(stmts)
+        scheds, names = self._compile(stmts)
         pool = self._prepare(names)
-        serial, tasks = self._plans_for(route_scheds, stmts)
+        serial, tasks = self._plans_for(scheds, stmts)
         pool.send_task(serial, tasks)
         self.dispatch_count += 1
         phases = pool.run_statement(serial)
         self._download(pool, stmts)
-        reports = self._charge(count_scheds, tag, 1)
+        reports = self._charge(scheds, tag, 1)
         wall = perf_counter() - t0
         for report in reports:
             report.wall_s = wall / len(reports)
@@ -1206,14 +1201,16 @@ class SpmdExecutor:
             if self._pool is not None:
                 self._pool.drop_task(serial)
 
-    def _plans_for(self, route_scheds: Sequence[Any],
+    def _plans_for(self, scheds: Sequence[Any],
                    stmts: Sequence[Assignment], pinned: Sequence[int] = ()
                    ) -> tuple[int, tuple[WindowTask, ...]]:
         """The per-worker plans of one fusion window, memoized on the
-        routing-schedule objects (Jacobi iterations 2..N reuse them) in
-        a table LRU-bounded at ``_TASK_CACHE_MAX``; evictions also drop
-        the plan from every worker's cache."""
-        key = tuple(id(rs) for rs in route_scheds)
+        schedule objects (Jacobi iterations 2..N reuse them) in a table
+        LRU-bounded at ``_TASK_CACHE_MAX``; evictions also drop the plan
+        from every worker's cache.  A plan carries its own ``rhs`` and
+        operand layout, so reusing it for a structurally equal statement
+        computes the same elements."""
+        key = tuple(id(cs) for cs in scheds)
         with self._lock:
             hit = self._tasks.get(key)
             if hit is not None:
@@ -1223,11 +1220,11 @@ class SpmdExecutor:
             serial = self._serial
             self._serial += 1
         # cross-session sharing: window plans are content-addressed in
-        # the process-wide plan store by the routing schedules' content
-        # keys plus the worker split, the same way the schedules
-        # themselves are (plans are scope-independent: layouts and
-        # domains are pinned by the content keys, and the serial is the
-        # executor's own handle, never part of the plan).
+        # the process-wide plan store by the schedules' content keys plus
+        # the worker split, the same way the schedules themselves are
+        # (plans are scope-independent: layouts and domains are pinned by
+        # the content keys, and the serial is the executor's own handle,
+        # never part of the plan).
         store = getattr(self.ds, "plan_store", None)
         if store is None:   # explicit: an empty store is len-0 falsy
             store = active_plan_store()
@@ -1235,16 +1232,16 @@ class SpmdExecutor:
         content: tuple | None = None
         tasks: tuple[WindowTask, ...] | None = None
         if store is not None:
-            plan_keys = tuple(getattr(rs, "plan_key", None)
-                              for rs in route_scheds)
+            plan_keys = tuple(getattr(cs, "plan_key", None)
+                              for cs in scheds)
             if all(k is not None for k in plan_keys):
                 content = ("wtask", plan_keys, p, self.n_workers)
                 tasks = store.get(content)
         if tasks is None:
-            tasks = _compile_window(self.ds, route_scheds, stmts, p,
+            tasks = _compile_window(self.ds, scheds, stmts, p,
                                     self.n_workers)
             if content is not None:
                 store.put(content, tasks)
         with self._lock:
-            self._tasks[key] = (serial, tasks, tuple(route_scheds))
+            self._tasks[key] = (serial, tasks, tuple(scheds))
         return serial, tasks

@@ -43,7 +43,10 @@ from repro.engine.expr import ArrayRef
 from repro.engine.planstore import PlanStore, swapped_plan_store
 from repro.engine.redistribute import price_remap
 from repro.engine.schedule import schedule_for
+from repro.engine.spmd import SpmdExecutor
 from repro.fortran.triplet import Triplet
+from repro.machine.config import MachineConfig
+from repro.machine.simulator import DistributedMachine
 
 
 # ----------------------------------------------------------------------
@@ -206,9 +209,12 @@ def test_bulk_comm_matrix_and_remap_equal_reference(ds, data):
     ((4,), [Block(), Collapsed()], True),  # `*` into `:`: one owner
     ((2, 2), [Block(), Block()], False),   # plain aligned operand
 ])
-@pytest.mark.parametrize("routing", [False, True])
+@pytest.mark.parametrize("spmd", [False, True])
 def test_compile_and_key_aligned_operand_makes_no_image_calls(
-        monkeypatch, grid, g_formats, star, routing):
+        monkeypatch, grid, g_formats, star, spmd):
+    """Keying and compiling the statement's schedule, and with ``spmd``
+    also compiling (and running) its SPMD window plan, reads the ALIGNed
+    operand's owners in bulk: zero ``AlignmentFunction.image`` calls."""
     n = 20_000
     ds = DataSpace(4)
     ds.processors("PR", *grid)
@@ -232,9 +238,15 @@ def test_compile_and_key_aligned_operand_makes_no_image_calls(
     stmt = Assignment(ArrayRef("X", (Triplet(1, n),)),
                       ArrayRef("W", (Triplet(1, n),)))
     with swapped_plan_store(PlanStore()) as store:
-        sched = schedule_for(ds, stmt, 4, routing=routing)
-    assert store.stats()["misses"] == 1
-    assert sched is not None
+        if spmd:
+            machine = DistributedMachine(MachineConfig(4))
+            with SpmdExecutor(ds, machine, mode="thread") as ex:
+                ex.execute(stmt)
+                assert len(ex._tasks) == 1
+        else:
+            assert schedule_for(ds, stmt, 4) is not None
+    # the schedule, plus the window plan when one is compiled
+    assert store.stats()["misses"] == (2 if spmd else 1)
     assert calls == []
 
 

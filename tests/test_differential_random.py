@@ -3,11 +3,10 @@
 A seeded generator draws ~50 programs — random shapes, BLOCK /
 BLOCK(m) / CYCLIC / CYCLIC(k) / GENERAL_BLOCK / REPLICATED layouts,
 random offset alignments, random RHS sections and expression shapes —
-and each case is executed five ways from identical initial data:
+and each case is executed four ways from identical initial data:
 
 * the sequential reference semantics (ground truth);
 * :class:`SimulatedExecutor` (counting matrices, lowered time model);
-* :class:`MessageAccurateExecutor` (explicit payload routing);
 * :class:`SpmdExecutor` dispatching fused per-peer transfer plans (one
   phase barrier per fusion window, zero-copy face windows where legal);
 * :class:`SpmdExecutor` through the worker-resident loop-replay
@@ -15,17 +14,16 @@ and each case is executed five ways from identical initial data:
   preloaded window plans, one ``loop`` dispatch, coordinator
   accounting running behind the workers).
 
-The differential assertions: payload-routed and SPMD-computed numerics
-equal the sequential reference bit-for-bit; the SPMD backend's reported
-words matrices, per-processor machine counters, modeled elapsed time
-and pattern attribution equal the counting executor's *bit-identically
-in every case* (both charge the same compiled counting schedules); and
-the routed per-pair words matrices equal the counting executor's for
-non-replicated operands (replicated operands are counted as locally
-satisfied by the counting oracle but routed from the primary copy, the
-payload executor's documented semantics).  This is the harness proving
-pattern lowering and the SPMD backend preserve both numerics and
-message-count semantics.
+The differential assertions: SPMD-computed numerics equal the
+sequential reference bit-for-bit; the SPMD backend's reported words
+matrices, per-processor machine counters, modeled elapsed time and
+pattern attribution equal the counting executor's *bit-identically in
+every case* (both charge the same compiled counting schedules); and the
+counting executor's words matrix equals the sum of the dense-oracle
+:func:`~repro.engine.commsets.comm_matrix` over the statement's
+references in every case, replicated operands included.  This is the
+harness proving pattern lowering and the SPMD backend preserve both
+numerics and message-count semantics.
 
 The same 50 seeds additionally run 5-way through the optimizer
 pipeline: reference == simulated == SPMD-dispatch == SPMD-replay at
@@ -49,7 +47,6 @@ from repro.distributions.cyclic import Cyclic
 from repro.distributions.general_block import GeneralBlock
 from repro.distributions.replicated import ReplicatedFormat
 from repro.engine.assignment import Assignment
-from repro.engine.distexec import MessageAccurateExecutor
 from repro.engine.executor import SimulatedExecutor
 from repro.engine.spmd import SpmdExecutor
 from repro.engine.expr import ArrayRef
@@ -164,16 +161,12 @@ def test_differential_random_program(seed):
 
     ds_ref = _materialize(case)
     ds_sim = _materialize(case)
-    ds_msg = _materialize(case)
     ds_spmd = _materialize(case)
 
     execute_sequential(ds_ref, stmt)
 
     machine_sim = DistributedMachine(MachineConfig(p))
     sim_report = SimulatedExecutor(ds_sim, machine_sim).execute(stmt)
-
-    machine_msg = DistributedMachine(MachineConfig(p))
-    msg_report = MessageAccurateExecutor(ds_msg, machine_msg).execute(stmt)
 
     machine_spmd = DistributedMachine(MachineConfig(p))
     with SpmdExecutor(ds_spmd, machine_spmd, mode="thread") as spmd:
@@ -191,13 +184,10 @@ def test_differential_random_program(seed):
     assert spmd_report.barrier_count == 1
     assert spmd_rp_report.barrier_count == 2
 
-    # numerics: payload-routed and SPMD-parallel execution (dispatched
-    # and replayed) == sequential reference, for every array (untouched arrays
-    # stay untouched)
+    # numerics: SPMD-parallel execution (dispatched and replayed) ==
+    # sequential reference, for every array (untouched arrays stay
+    # untouched)
     for name in ds_ref.arrays:
-        np.testing.assert_array_equal(
-            ds_msg.arrays[name].data, ds_ref.arrays[name].data,
-            err_msg=f"seed {seed}: routed numerics diverge on {name}")
         np.testing.assert_array_equal(
             ds_sim.arrays[name].data, ds_ref.arrays[name].data,
             err_msg=f"seed {seed}: simulated numerics diverge on {name}")
@@ -240,21 +230,18 @@ def test_differential_random_program(seed):
     assert machine_spmd_rp.elapsed == machine_sim.elapsed
     assert spmd_rp_report.patterns == sim_report.patterns
 
-    # message counts: routed payload matrix == counting matrix, except
-    # for replicated operands (counted local, routed from the primary)
-    replicated = any(ds_sim.distribution_of(nm).is_replicated
-                     for nm, _ in case["refs"])
-    if not replicated:
-        routed = np.zeros((p, p), dtype=np.int64)
-        for msg in msg_report.routed:
-            routed[msg.src, msg.dst] += msg.words
-        np.testing.assert_array_equal(
-            routed, sim_report.words,
-            err_msg=f"seed {seed}: words matrices diverge")
-        np.testing.assert_array_equal(machine_msg.stats.words_sent,
-                                      machine_sim.stats.words_sent)
-        np.testing.assert_array_equal(machine_msg.stats.words_recv,
-                                      machine_sim.stats.words_recv)
+    # message counts: the charged matrix == the dense oracle summed over
+    # the references, on every seed (replicated operands included)
+    from repro.engine.commsets import comm_matrix
+    lhs_section = stmt.lhs.section(ds_sim)
+    lhs_dist = ds_sim.distribution_of(stmt.lhs.name)
+    oracle = sum(comm_matrix(lhs_dist, lhs_section,
+                             ds_sim.distribution_of(ref.name),
+                             ref.section(ds_sim), p)[0]
+                 for ref in stmt.rhs.refs())
+    np.testing.assert_array_equal(
+        oracle, sim_report.words,
+        err_msg=f"seed {seed}: words matrices diverge from the oracle")
 
     # the lowered time model never charges more than point-to-point
     # (per deposited reference — each ref is one message batch)
@@ -334,7 +321,7 @@ def test_differential_random_program(seed):
 
 def test_generator_covers_layout_families():
     """The 50 seeds collectively exercise every layout family, the
-    alignment path, and both executor-divergence regimes."""
+    alignment path, and both replicated and distributed operands."""
     kinds: set[str] = set()
     replicated_refs = 0
     for seed in range(N_CASES):
@@ -347,7 +334,7 @@ def test_generator_covers_layout_families():
     assert {"block", "block_m", "cyclic", "cyclic_k", "gblock",
             "replicated", "aligned"} <= kinds
     assert replicated_refs >= 1
-    assert replicated_refs < N_CASES // 2   # words compare mostly active
+    assert replicated_refs < N_CASES // 2   # mostly distributed operands
 
 
 def test_generated_programs_are_deterministic():

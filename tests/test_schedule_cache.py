@@ -17,10 +17,10 @@ from repro.distributions.indirect import Indirect
 from repro.distributions.replicated import ReplicatedFormat
 from repro.engine.assignment import Assignment
 from repro.engine.commsets import comm_matrix
-from repro.engine.distexec import MessageAccurateExecutor
 from repro.engine.executor import SimulatedExecutor
 from repro.engine.expr import ArrayRef
 from repro.engine.schedule import schedule_for
+from repro.engine.spmd import SpmdExecutor
 from repro.fortran.triplet import Triplet
 from repro.machine.config import MachineConfig
 from repro.machine.simulator import DistributedMachine
@@ -125,14 +125,6 @@ class TestIndirectSchedules:
             ds.distribution_of("B"), ds.section("B", Triplet(1, 47)), 6)
         np.testing.assert_array_equal(s1.refs[0].words, m)
         assert (s1.refs[0].local, s1.refs[0].off) == (local, off)
-
-    def test_indirect_routing_schedule_partitions_iterations(self):
-        ds = self._indirect_pair()
-        sched = schedule_for(ds, _stmt(48), 6, routing=True)
-        route = sched.routes[0]
-        covered = int(route.local_mask.sum()) + sum(
-            positions.size for _, _, positions in route.chunks)
-        assert covered == sched.iteration_size
 
     def test_redistribute_indirect_invalidates_and_recompiles(self):
         ds = self._indirect_pair()
@@ -301,39 +293,27 @@ class TestInvalidation:
             np.testing.assert_array_equal(sched.refs[0].words, m)
 
 
-class TestRoutingSchedules:
-    def test_message_accurate_repeat_routes_fresh_values(self):
+class TestSpmdWindowPlans:
+    def test_cached_spmd_plan_gathers_fresh_values(self):
+        """A cached SPMD window plan holds positions, not values: its
+        second run gathers the operand's new contents."""
         n = 48
         ds = _pair(n)
         machine = DistributedMachine(MachineConfig(8))
-        ex = MessageAccurateExecutor(ds, machine)
         stmt = Assignment(ArrayRef("A", (Triplet(2, n),)),
                           ArrayRef("B", (Triplet(1, n - 1),)))
         ds.arrays["B"].data[:] = np.arange(n, dtype=np.float64)
-        ex.execute(stmt)
-        first = ds.arrays["A"].data.copy()
-        # mutate the operand; the cached routing must carry new payloads
-        ds.arrays["B"].data[:] = np.arange(n, dtype=np.float64) * 10
-        ex.execute(stmt)
+        with SpmdExecutor(ds, machine, mode="thread") as ex:
+            ex.execute(stmt)
+            first = ds.arrays["A"].data.copy()
+            # mutate the operand; the cached plan must gather new values
+            ds.arrays["B"].data[:] = np.arange(n, dtype=np.float64) * 10
+            ex.execute(stmt)
+            assert len(ex._tasks) == 1
         assert ds.schedule_cache.hits >= 1
         np.testing.assert_array_equal(
             ds.arrays["A"].data[1:], np.arange(n - 1, dtype=np.float64) * 10)
         assert not np.array_equal(ds.arrays["A"].data, first)
-
-    def test_routing_and_counting_schedules_are_disjoint_keys(self):
-        ds = _pair()
-        counting = schedule_for(ds, _stmt(), 8)
-        routing = schedule_for(ds, _stmt(), 8, routing=True)
-        assert counting is not routing
-        assert routing.routes is not None and counting.routes is None
-        assert counting.refs and not routing.refs
-
-    def test_routing_words_match_counting_matrix(self):
-        ds = _pair()
-        counting = schedule_for(ds, _stmt(), 8, strategy="oracle")
-        routing = schedule_for(ds, _stmt(), 8, routing=True)
-        total = sum(len(pos) for _, _, pos in routing.routes[0].chunks)
-        assert total == int(counting.refs[0].words.sum())
 
 
 class TestBulkKernels:
