@@ -1,13 +1,15 @@
 """The experiment registry: E1-E12, one per paper artifact.
 
-Each entry maps an experiment id to ``(title, runner)``; runners take only
-keyword parameters with sensible defaults and return an
-:class:`~repro.bench.harness.ExperimentResult`.  ``python -m repro`` and
-the ``benchmarks/`` suite are thin wrappers over this table.
+Each entry maps an experiment id to ``(title, runner)``; runners take no
+arguments (each fixes its own problem size) and return an
+:class:`~repro.bench.harness.ExperimentResult`.  This table is the only
+place the experiments are stated: ``python -m repro`` prints them and
+tier-1 asserts every check.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable
 
 from repro.bench.experiments_basic import (
@@ -30,7 +32,7 @@ from repro.bench.harness import ExperimentResult
 
 __all__ = ["EXPERIMENTS", "run_experiment"]
 
-EXPERIMENTS: dict[str, tuple[str, Callable[..., ExperimentResult]]] = {
+EXPERIMENTS: dict[str, tuple[str, Callable[[], ExperimentResult]]] = {
     "E1": ("§4 distribution-format examples", e01_distribution_formats),
     "E2": ("BLOCK definitions: HPF vs Vienna (§8 footnote)",
            e02_block_definitions),
@@ -48,12 +50,12 @@ EXPERIMENTS: dict[str, tuple[str, Callable[..., ExperimentResult]]] = {
 }
 
 
-def run_experiment(exp_id: str, **kwargs) -> ExperimentResult:
+def run_experiment(exp_id: str) -> ExperimentResult:
     """Run one experiment by id (``"E8"`` etc.)."""
     key = exp_id.upper()
     if key not in EXPERIMENTS:
         raise KeyError(
             f"unknown experiment {exp_id!r}; choose from "
             f"{', '.join(EXPERIMENTS)}")
-    _, fn = EXPERIMENTS[key]
-    return fn(**kwargs)
+    title, fn = EXPERIMENTS[key]
+    return dataclasses.replace(fn(), experiment=key, title=title)

@@ -58,26 +58,24 @@ def _fmt(v: Any) -> str:
 
 @dataclass
 class ExperimentResult:
-    """The output of one experiment run."""
+    """The output of one experiment run.  Runners fill in the rows,
+    headline and checks; :func:`~repro.bench.experiments.run_experiment`
+    stamps the id and title from its table."""
 
-    experiment: str
-    title: str
     #: the table the paper artifact corresponds to
     rows: list[dict] = field(default_factory=list)
     #: one-line statement of what the paper claims and what we measured
     headline: str = ""
-    #: free-form notes (substitutions, deviations)
-    notes: list[str] = field(default_factory=list)
-    #: machine-checkable claims (name -> bool), asserted by the benches
+    #: machine-checkable claims (name -> bool), asserted by tier-1
     checks: dict[str, bool] = field(default_factory=dict)
+    experiment: str = ""
+    title: str = ""
 
     def render(self) -> str:
         out = [f"== {self.experiment}: {self.title} =="]
         if self.headline:
             out.append(self.headline)
         out.append(format_table(self.rows))
-        for note in self.notes:
-            out.append(f"note: {note}")
         if self.checks:
             out.append("checks: " + ", ".join(
                 f"{k}={'PASS' if v else 'FAIL'}"

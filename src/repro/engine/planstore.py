@@ -25,11 +25,11 @@ A content key has three ingredients:
   distributions whose full owner *sets* exceed the primary map;
 * the abstract-processor width of the scope.
 
-Adoption never shares mutable state: every field of a compiled schedule
-is a read-only array, and the adopter re-stamps the scope-local
-``epoch`` with :func:`dataclasses.replace`, so the stored object is
-never mutated (window plans carry no scope-local field and are adopted
-as they are).
+Adoption never shares mutable state: a compiled schedule is frozen, its
+arrays are read-only and it carries no scope-local field, so the adopter
+installs the stored object itself (window plans likewise).  A remap in
+the adopting scope drops the entry from that scope's cache through the
+by-array index; the store's copy is untouched.
 
 The store is bounded (LRU) and always on; tests swap in a private
 store with :func:`swapped_plan_store` to get isolated counters.

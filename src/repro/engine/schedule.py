@@ -23,18 +23,17 @@ There is one schedule per statement: every executor charges it, and the
 SPMD backend (:mod:`repro.engine.spmd`) derives its per-worker pulls
 from the same LHS owner vector plus each operand's owner map.
 
-Schedules are compiled once per (layout epoch, statement structure,
-machine width, strategy) and memoized in the data space's
+Schedules are compiled once per (layout, statement structure, machine
+width, strategy) and memoized in the data space's
 :class:`~repro.core.dataspace.ScheduleCache`; any REDISTRIBUTE / REALIGN
-/ DEALLOCATE bumps the layout epoch and drops every schedule, so
-Jacobi-style iteration 2..N becomes a pure cache hit while remaining
+/ DEALLOCATE drops every schedule compiled against the remapped forest,
+so Jacobi-style iteration 2..N becomes a pure cache hit while remaining
 bit-identical to per-statement recomputation (the tier-1 suite is the
 oracle for that).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from dataclasses import dataclass
 
@@ -128,8 +127,6 @@ class CommSchedule:
 
     statement: str
     n_processors: int
-    #: the DataSpace.layout_epoch the schedule was compiled in
-    epoch: int
     iteration_shape: tuple[int, ...]
     #: flattened (column-major) LHS owner map: iteration -> executing unit
     lhs_owner_flat: np.ndarray
@@ -145,6 +142,9 @@ class CommSchedule:
     #: whose destinations partition identically share it, which is what
     #: lets the optimizer prove one statement's exchange covers another's
     lhs_key: bytes = b""
+    #: the plan-store content key (``None`` when compiled with no store);
+    #: the SPMD backend content-addresses window plans derived from it
+    plan_key: tuple | None = None
 
     @property
     def iteration_size(self) -> int:
@@ -167,7 +167,7 @@ class CommSchedule:
     def describe(self) -> str:
         strategies = ",".join(sorted({r.strategy for r in self.refs}))
         return (f"<CommSchedule {self.statement!r} P={self.n_processors} "
-                f"epoch={self.epoch} refs={len(self.refs)} "
+                f"refs={len(self.refs)} "
                 f"[{strategies or 'none'}] words={self.total_words}>")
 
 
@@ -211,7 +211,7 @@ def schedule_for(ds: DataSpace, stmt: Assignment, n_processors: int, *,
     compiler first looks the statement up by *content* (layout digests
     plus statement structure), so an independent session that already
     compiled the same statement over the same layout donates its
-    schedule — adopted with the local layout epoch re-stamped, never
+    schedule — the stored, immutable object itself is adopted, never
     recompiled.  The per-scope cache still records its own miss either
     way (its counters keep meaning "not resident in this scope").
     """
@@ -235,22 +235,18 @@ def schedule_for(ds: DataSpace, stmt: Assignment, n_processors: int, *,
                                         use_overlap)
         shared = store.get(content)
         if shared is not None:
-            adopted = dataclasses.replace(shared, epoch=ds.layout_epoch)
-            # non-field annotation: the content key rides on the object
-            # so backends can content-address plans derived from it
-            object.__setattr__(adopted, "plan_key", content)
-            cache.put(key, adopted, arrays)
-            return adopted
-    sched = _compile(ds, stmt, n_processors, strategy, use_overlap)
+            cache.put(key, shared, arrays)
+            return shared
+    sched = _compile(ds, stmt, n_processors, strategy, use_overlap,
+                     content)
     cache.put(key, sched, arrays)
     if store is not None:
-        object.__setattr__(sched, "plan_key", content)
         store.put(content, sched)
     return sched
 
 
 def _compile(ds: DataSpace, stmt: Assignment, p: int, strategy: str,
-             use_overlap: bool) -> CommSchedule:
+             use_overlap: bool, plan_key: tuple | None) -> CommSchedule:
     if strategy not in ("auto", "oracle", "analytic"):
         raise ValueError(f"unknown strategy {strategy!r}")
     shape = stmt.validate(ds)
@@ -320,11 +316,12 @@ def _compile(ds: DataSpace, stmt: Assignment, p: int, strategy: str,
 
     dst.setflags(write=False)
     return CommSchedule(
-        statement=str(stmt), n_processors=p, epoch=ds.layout_epoch,
+        statement=str(stmt), n_processors=p,
         iteration_shape=tuple(shape), lhs_owner_flat=dst, work=work,
         refs=tuple(refs), overlap=plan,
         overlap_lowering=(classify_matrix(plan.words)
                           if plan is not None else None),
         lhs_name=stmt.lhs.name,
         lhs_key=hashlib.blake2b(dst.tobytes(),
-                                digest_size=16).digest())
+                                digest_size=16).digest(),
+        plan_key=plan_key)

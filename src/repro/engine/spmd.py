@@ -1232,8 +1232,7 @@ class SpmdExecutor:
         content: tuple | None = None
         tasks: tuple[WindowTask, ...] | None = None
         if store is not None:
-            plan_keys = tuple(getattr(cs, "plan_key", None)
-                              for cs in scheds)
+            plan_keys = tuple(cs.plan_key for cs in scheds)
             if all(k is not None for k in plan_keys):
                 content = ("wtask", plan_keys, p, self.n_workers)
                 tasks = store.get(content)

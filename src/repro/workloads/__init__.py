@@ -4,7 +4,7 @@ Every workload builds through the Session front door
 (:mod:`repro.api.session`), so each one automatically gets schedule
 caching, the ``-O2`` pass pipeline and both execution backends:
 
-* :mod:`~repro.workloads.stencil` — the §8.1.1 staggered grid (Thole)
+* :mod:`~repro.workloads.stencil` — Thole's §8.1.1 staggered grid
   and a 5-point Jacobi relaxation as ready-made cases, plus the
   iterated Jacobi-with-residual loop (``jacobi_session`` /
   ``jacobi_program``);

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import zlib
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -20,6 +21,7 @@ def sweep(**axes: Iterable) -> Iterator[Mapping[str, object]]:
 
 def seeded_rng(*key: object) -> np.random.Generator:
     """A generator seeded deterministically from a structured key, so
-    every bench/test invocation sees identical 'random' data."""
-    seed = abs(hash(tuple(str(k) for k in key))) % (2**32)
+    every process sees identical 'random' data (``hash`` of a string is
+    salted per process; a CRC is not)."""
+    seed = zlib.crc32("\0".join(str(k) for k in key).encode())
     return np.random.default_rng(seed)

@@ -178,6 +178,10 @@ class TestOverlapExecution:
         assert halo.stats.total_messages <= naive.stats.total_messages
         # halo volume bounds the naive traffic from above (full strips)
         assert halo.stats.total_words >= naive.stats.total_words
+        # ... and costs at most 5% more modelled time for it
+        config = halo.config
+        assert (halo.stats.estimated_time(config)
+                <= 1.05 * naive.stats.estimated_time(config))
 
     def test_overlap_mode_batches_width2_stencil(self):
         # two references per direction (width-2): the halo batches them
@@ -200,6 +204,9 @@ class TestOverlapExecution:
         rep = SimulatedExecutor(ds, halo, use_overlap=True).execute(stmt)
         assert rep.strategies.get("*") == "overlap"
         assert halo.stats.total_messages < naive.stats.total_messages
+        config = halo.config
+        assert (halo.stats.estimated_time(config)
+                <= 1.05 * naive.stats.estimated_time(config))
 
     def test_overlap_mode_falls_back(self, cyclic_pair, machine8):
         # non-halo-form mapping: overlap unavailable, normal accounting

@@ -357,11 +357,14 @@ class TestPipelineProperties:
         assert m2.stats.total_words <= m0.stats.total_words
         assert m2.stats.total_messages < m0.stats.total_messages
 
-    def test_jacobi_acceptance_reductions(self):
+    @pytest.mark.parametrize("builder", [_jacobi, _multigrid],
+                             ids=["jacobi", "multigrid"])
+    def test_jacobi_acceptance_reductions(self, builder):
         """The headline numbers: >= 40% fewer words, >= 50% fewer
-        messages on the 10-iteration Jacobi loop."""
-        _, m0, _ = _run(_jacobi, 0)
-        _, m2, _ = _run(_jacobi, 2)
+        messages on the 10-iteration Jacobi loop and the two-cycle
+        multigrid V-cycle."""
+        _, m0, _ = _run(builder, 0)
+        _, m2, _ = _run(builder, 2)
         words_cut = 1.0 - m2.stats.total_words / m0.stats.total_words
         msgs_cut = 1.0 - m2.stats.total_messages / m0.stats.total_messages
         assert words_cut >= 0.40

@@ -137,7 +137,6 @@ class TestIndirectSchedules:
         assert len(ds.schedule_cache) == 0
         new = schedule_for(ds, stmt, 6)
         assert new is not old
-        assert new.epoch == ds.layout_epoch
         m, _, _ = comm_matrix(
             ds.distribution_of("A"), ds.section("A", Triplet(2, 48)),
             ds.distribution_of("B"), ds.section("B", Triplet(1, 47)), 6)

@@ -123,23 +123,27 @@ def test_service_store_isolated_from_global():
     assert store_stats() == g0   # nothing leaked into the global store
 
 
-def test_plan_adoption_restamps_epoch():
-    """An adopted schedule carries the *adopter's* layout epoch, so a
-    later remap in the adopting scope invalidates it normally."""
+def test_plan_adoption_remap_replaces_adopted_schedule():
+    """Adoption installs the stored schedule object itself; a remap in
+    the adopting scope drops it from that scope's cache and the next
+    lookup compiles a replacement, while the donor keeps its own."""
+    from repro.distributions.cyclic import Cyclic
+    from repro.engine.schedule import schedule_for
     with SessionService(plan_store=PlanStore()) as svc:
         a = _run_jacobi(service=svc, backend=Backend.simulate())
-        b = Session(4, service=svc, backend=Backend.simulate())
-        # age the adopting scope's epoch before it runs anything (a
-        # distribute of an unrelated array bumps the layout epoch)
-        b.ds.processors("SPARE", 4)
-        b.ds.declare("PAD", 8)
-        b.ds.distribute("PAD", [Block()], to="SPARE")
-        _record_jacobi(b)
-        b.run()
-        key = next(iter(b.ds.schedule_cache._entries))
-        sched = b.ds.schedule_cache._entries[key][0]
-        assert sched.epoch == b.ds.layout_epoch
-        assert b.ds.layout_epoch != a.ds.layout_epoch
+        b = _run_jacobi(service=svc, backend=Backend.simulate())
+        key, (adopted, _) = next(iter(b.ds.schedule_cache._entries.items()))
+        assert adopted is a.ds.schedule_cache._entries[key][0]
+        b.ds.set_dynamic("U")
+        b.ds.redistribute("U", [Cyclic(), Block()], to="PR")
+        assert key not in b.ds.schedule_cache._entries
+        stmt, p, strategy, use_overlap = key
+        fresh = schedule_for(b.ds, stmt, p, strategy=strategy,
+                             use_overlap=use_overlap)
+        assert fresh is not adopted
+        assert fresh.plan_key != adopted.plan_key
+        assert b.ds.schedule_cache._entries[key][0] is fresh
+        assert a.ds.schedule_cache._entries[key][0] is adopted
         a.close()
         b.close()
 

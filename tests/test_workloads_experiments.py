@@ -83,8 +83,9 @@ class TestHarness:
         assert format_table([]) == "(no rows)"
 
     def test_result_render_and_checks(self):
-        r = ExperimentResult("EX", "t", rows=[{"v": 1.23456}],
-                             headline="h", checks={"ok": True})
+        r = ExperimentResult(rows=[{"v": 1.23456}], headline="h",
+                             checks={"ok": True}, experiment="EX",
+                             title="t")
         text = r.render()
         assert "EX" in text and "PASS" in text
         assert r.all_checks_pass
@@ -100,27 +101,18 @@ class TestExperimentRegistry:
         with pytest.raises(KeyError):
             run_experiment("E99")
 
-    # Small-parameter smoke runs of every experiment; all paper-claim
-    # checks must PASS.
-    @pytest.mark.parametrize("exp_id,kwargs", [
-        ("E1", dict(n=64, nop=8)),
-        ("E2", dict()),
-        ("E3", dict(n=512, np_=4)),
-        ("E4", dict(n=100, np_=4)),
-        ("E5", dict(n=16, m=6, np_=4)),
-        ("E6", dict(m=2, n=4, np_=32)),
-        ("E7", dict(n=1000, np_=4)),
-        ("E8", dict(n=32, rows_cols=(2, 2))),
-        ("E9", dict(np_=4)),
-        ("E10", dict(np_=4)),
-        ("E11", dict(n=2000, depths=(1, 8))),
-        ("E12", dict(cases=4, np_=4)),
-    ])
-    def test_experiment_checks_pass(self, exp_id, kwargs):
-        result = run_experiment(exp_id, **kwargs)
+    # Every experiment at the size `python -m repro --all` prints; all
+    # paper-claim checks must PASS.  The ids keep the suite's historical
+    # "<id>-kwargs<i>" form so test reports stay comparable.
+    @pytest.mark.parametrize(
+        "exp_id", list(EXPERIMENTS),
+        ids=[f"{e}-kwargs{i}" for i, e in enumerate(EXPERIMENTS)])
+    def test_experiment_checks_pass(self, exp_id):
+        result = run_experiment(exp_id)
         failing = [k for k, v in result.checks.items() if not v]
         assert not failing, f"{exp_id} failing checks: {failing}"
         assert result.rows, f"{exp_id} produced no rows"
+        assert result.title == EXPERIMENTS[exp_id][0]
         assert result.render()
 
 
