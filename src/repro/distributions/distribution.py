@@ -210,13 +210,11 @@ class FormatDistribution(Distribution):
             else:
                 self.dims.append(Collapsed().bind(domain.dims[k], 1))
                 self.target_dim_of.append(None)
-        # Tabulate target index -> AP unit once (Fortran order).
-        units = target.ap_units_all(ap)
+        # Tabulate target index <-> AP unit (Fortran order), once per AP.
+        self._unit_to_target = ap.target_units(target)
+        units = list(self._unit_to_target)
         self._unit_table = np.array(units, dtype=np.int64).reshape(
             tshape, order="F") if target.rank else np.array(units[0])
-        self._unit_to_target: dict[int, tuple[int, ...]] = {}
-        for tidx, u in zip(target.domain(), units):
-            self._unit_to_target.setdefault(int(u), tidx)
 
     # -- ownership ------------------------------------------------------
     def _target_coords(self, index: Sequence[int]) -> list[tuple[int, ...]]:

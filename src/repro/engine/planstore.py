@@ -19,8 +19,8 @@ A content key has three ingredients:
   use_overlap)`` the per-scope cache already keys on;
 * one **per-array layout key** for every array the statement touches:
   ``(name, dtype, distribution class, describe(), domain bounds,
-  blake2b digest of the memoized primary owner map, replication)`` —
-  the digest ties the key to the actual ownership function, the
+  narrowest-width owner_digest of the primary owner map, replication)``
+  — the digest ties the key to the actual ownership function, the
   describe string and replication fields are belt-and-braces for
   distributions whose full owner *sets* exceed the primary map;
 * the abstract-processor width of the scope.
@@ -42,8 +42,10 @@ import hashlib
 import threading
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = ["PlanStore", "active_plan_store", "set_active_plan_store",
-           "swapped_plan_store", "distribution_key",
+           "swapped_plan_store", "distribution_key", "owner_digest",
            "statement_content_key"]
 
 
@@ -142,16 +144,25 @@ def swapped_plan_store(store: PlanStore | None):
 # ----------------------------------------------------------------------
 # Content keys
 # ----------------------------------------------------------------------
+def owner_digest(owners) -> bytes:
+    """Exact blake2b of an owner map's Fortran-order values, cast to the
+    narrowest unsigned type holding its largest unit (``uint8`` up to
+    256 units; layouts validate AP units into ``0 .. P-1``).  The dtype
+    is hashed first, so two widths with equal buffers cannot alias."""
+    flat = owners.reshape(-1, order="F")
+    narrow = flat.astype(np.min_scalar_type(flat.max() if flat.size else 0))
+    h = hashlib.blake2b(narrow.dtype.str.encode(), digest_size=16)
+    h.update(narrow)
+    return h.digest()
+
+
 def _dist_digest(dist) -> bytes:
-    """blake2b digest of the distribution's dense primary owner map,
-    memoized on the (immutable) distribution instance — dynamic
+    """Narrowest-width :func:`owner_digest` of the dense primary owner
+    map, memoized on the (immutable) distribution instance — dynamic
     directives build new distribution objects, never mutate old ones."""
     digest = getattr(dist, "_plan_digest", None)
     if digest is None:
-        amap = dist.primary_owner_map()
-        digest = hashlib.blake2b(amap.tobytes(),
-                                 digest_size=16).digest()
-        dist._plan_digest = digest
+        digest = dist._plan_digest = owner_digest(dist.primary_owner_map())
     return digest
 
 

@@ -5,7 +5,7 @@ every element whose owner set changes.  :func:`price_remap` computes the
 exact (P, P) transfer matrix for a :class:`~repro.core.dataspace.RemapEvent`
 without walking the elements:
 
-* non-replicated old/new mappings: one dense owner-map comparison;
+* non-replicated old/new mappings: one bincount of (old, new) owners;
 * replication involved: each *new* owner missing an element receives one
   copy from the element's smallest old owner — one pass of the bulk
   :meth:`~repro.distributions.distribution.Distribution.owner_mask`
@@ -50,10 +50,9 @@ def price_remap(event: RemapEvent,
     src = old.smallest_owner_map().reshape(-1, order="F")
     if not old.is_replicated and not new.is_replicated:
         nm = new.primary_owner_map().reshape(-1, order="F")
-        mask = src != nm
-        moved = int(mask.sum())
-        pairs = src[mask] * p + nm[mask]
-        matrix += np.bincount(pairs, minlength=p * p).reshape(p, p)
+        matrix = np.bincount(src * p + nm, minlength=p * p).reshape(p, p)
+        moved = src.size - int(np.trace(matrix))
+        np.fill_diagonal(matrix, 0)
         return matrix, moved
     moved = 0
     for dst in new.processors():

@@ -34,7 +34,6 @@ oracle for that).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +57,7 @@ from repro.engine.overlap import OverlapPlan, overlap_plan
 from repro.engine.owner_computes import section_owner_map
 from repro.engine.planstore import (
     active_plan_store,
+    owner_digest,
     statement_content_key,
 )
 
@@ -138,9 +138,10 @@ class CommSchedule:
     overlap_lowering: Lowering | None = None
     #: name of the written (LHS) array
     lhs_name: str = ""
-    #: content digest of the flattened LHS owner map — two statements
-    #: whose destinations partition identically share it, which is what
-    #: lets the optimizer prove one statement's exchange covers another's
+    #: narrowest-width ``owner_digest`` of the flattened LHS owner map —
+    #: two statements whose destinations partition identically share it,
+    #: which lets the optimizer prove one statement's exchange covers
+    #: another's
     lhs_key: bytes = b""
     #: the plan-store content key (``None`` when compiled with no store);
     #: the SPMD backend content-addresses window plans derived from it
@@ -322,6 +323,5 @@ def _compile(ds: DataSpace, stmt: Assignment, p: int, strategy: str,
         overlap_lowering=(classify_matrix(plan.words)
                           if plan is not None else None),
         lhs_name=stmt.lhs.name,
-        lhs_key=hashlib.blake2b(dst.tobytes(),
-                                digest_size=16).digest(),
+        lhs_key=owner_digest(dst),
         plan_key=plan_key)

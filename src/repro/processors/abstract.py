@@ -46,6 +46,7 @@ class AbstractProcessors:
         default_factory=dict, repr=False)
     _arrangements: dict[str, Arrangement] = field(
         default_factory=dict, repr=False)
+    _unit_tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -139,6 +140,16 @@ class AbstractProcessors:
                 f"arrangement {arrangement.name!r} was not declared on "
                 "this AP")
         return assoc.unit_of(index)
+
+    def target_units(self, target) -> dict[int, tuple[int, ...]]:
+        """AP unit -> target index of every processor of ``target``, in
+        ``I^R`` order.  Memoized, as arrangements are never re-declared;
+        the shared table is read-only."""
+        table = self._unit_tables.get(target)
+        if table is None:
+            table = self._unit_tables[target] = dict(
+                zip(target.ap_units_all(self), target.domain()))
+        return table
 
     def ap_units(self, arrangement: Arrangement,
                  index: Sequence[int] = ()) -> tuple[int, ...]:

@@ -16,6 +16,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from time import perf_counter
 
@@ -47,6 +48,7 @@ from repro.engine.spmd import SpmdExecutor
 from repro.fortran.triplet import Triplet
 from repro.machine.config import MachineConfig
 from repro.machine.simulator import DistributedMachine
+from repro.processors.section import ProcessorSection
 
 
 # ----------------------------------------------------------------------
@@ -267,6 +269,43 @@ def test_large_replicating_remap_prices_in_bulk():
     expected = np.full((4, 4), n // 4, dtype=np.int64)
     np.fill_diagonal(expected, 0)
     np.testing.assert_array_equal(matrix, expected)
+
+
+#: 2-D remap family: row/column BLOCK and row CYCLIC(3), each on the
+#: whole Q(8) or on the section Q(1:7:2), where odd units own nothing
+REMAP_LAYOUTS = [(formats, odd)
+                 for formats in ((Block(), Collapsed()),
+                                 (Collapsed(), Block()),
+                                 (Cyclic(3), Collapsed()))
+                 for odd in (False, True)]
+
+
+def _layout_id(layout):
+    formats, odd = layout
+    return f"({','.join(map(str, formats))}){'@odd' if odd else ''}"
+
+
+@pytest.mark.parametrize("old,new", [
+    pytest.param(a, b, id=f"{_layout_id(a)}->{_layout_id(b)}")
+    for a, b in itertools.permutations(REMAP_LAYOUTS, 2)])
+def test_two_dim_remap_family_equals_reference(old, new):
+    """13 x 10 is divisible by neither 4 nor 8: blocks are ragged and
+    some units of the target own nothing."""
+    p = 8
+    ds = DataSpace(p)
+    q = ds.processors("Q", p)
+
+    def target(odd):
+        return ProcessorSection(q, (Triplet(1, 7, 2),)) if odd else "Q"
+
+    ds.declare("A", 13, 10, dynamic=True)
+    ds.distribute("A", list(old[0]), to=target(old[1]))
+    event = ds.redistribute("A", list(new[0]), to=target(new[1]))
+    matrix, moved = price_remap(event, p)
+    want_matrix, want_moved = reference_price_remap(event.old, event.new, p)
+    np.testing.assert_array_equal(matrix, want_matrix)
+    assert moved == want_moved == int(matrix.sum())
+    assert not np.diagonal(matrix).any()
 
 
 # ----------------------------------------------------------------------

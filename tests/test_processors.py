@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.core.dataspace import DataSpace
+from repro.distributions.block import Block
+from repro.distributions.cyclic import Cyclic
+from repro.distributions.distribution import FormatDistribution
 from repro.errors import MappingError
 from repro.fortran.domain import IndexDomain
 from repro.fortran.triplet import Triplet
@@ -168,3 +172,44 @@ class TestTopologies:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             Line(4).hops(0, 4)
+
+
+class TestTargetUnitMemo:
+    """A target's AP unit table is computed once per AP: arrangements
+    are never re-declared, so REDISTRIBUTE reuses it."""
+
+    def test_remap_cycles_walk_each_target_once(self, monkeypatch):
+        calls = []
+        walk = ProcessorSection.ap_units_all
+
+        def counted(self, ap):
+            calls.append(self)
+            return walk(self, ap)
+
+        monkeypatch.setattr(ProcessorSection, "ap_units_all", counted)
+        ds = DataSpace(8)
+        q = ds.processors("Q", 8)
+        odd = ProcessorSection(q, (Triplet(1, 7, 2),))
+        ds.declare("A", 32, dynamic=True)
+        ds.distribute("A", [Block()], to="Q")
+        for _ in range(100):
+            ds.redistribute("A", [Cyclic()], to=odd)
+            ds.redistribute("A", [Block()], to="Q")
+        assert len(calls) <= 2
+        assert ds.distribution_of("A").processors() == tuple(range(8))
+
+    def test_equivalenced_arrangements_keep_their_own_units(self):
+        ap = AbstractProcessors(16)
+        lo = ap.declare(ProcessorArrangement("LO", IndexDomain.standard(8)))
+        hi = ap.declare(ProcessorArrangement("HI", IndexDomain.standard(8)),
+                        origin=8)
+        dom = IndexDomain.standard(24)
+        dists = [FormatDistribution(dom, [Block()], ProcessorSection(a), ap)
+                 for a in (lo, hi)]
+        assert list(ap.target_units(ProcessorSection(lo))) == list(range(8))
+        assert list(ap.target_units(ProcessorSection(hi))) == \
+            list(range(8, 16))
+        assert dists[0].processors() == tuple(range(8))
+        assert dists[1].processors() == tuple(range(8, 16))
+        assert (dists[1].primary_owner_map()
+                == dists[0].primary_owner_map() + 8).all()
