@@ -377,15 +377,6 @@ class FormatDistribution(Distribution):
                      else dd.local_extent(0)
                      for dd, tdim in zip(self.dims, self.target_dim_of))
 
-    def owned_triplets(self, unit: int) -> tuple[tuple, ...]:
-        """Per-array-dimension owned index sets of ``unit`` (each a tuple
-        of triplets) — the regular-section decomposition of the owned
-        block, consumed by the analytic communication-set engine."""
-        coords = self.dim_coords_of_unit(unit)
-        c = iter(coords)
-        return tuple(dd.owned(next(c)) if tdim is not None else dd.owned(0)
-                     for dd, tdim in zip(self.dims, self.target_dim_of))
-
     def describe(self) -> str:
         fmts = ", ".join(str(f) for f in self.formats)
         return f"DISTRIBUTE ({fmts}) TO {self.target} on {self.domain}"

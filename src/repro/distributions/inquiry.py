@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.distributions.base import Collapsed
 from repro.distributions.distribution import Distribution, FormatDistribution
 
 __all__ = [
@@ -59,10 +58,3 @@ def owners_of(dist: Distribution, index: Sequence[int]) -> tuple[int, ...]:
 def is_replicated(dist: Distribution) -> bool:
     """True iff some element of the array has more than one owner."""
     return dist.is_replicated
-
-
-def is_distributed_dim(dist: Distribution, dim: int) -> bool:
-    """True iff dimension ``dim`` is actually spread over processors."""
-    if isinstance(dist, FormatDistribution):
-        return not isinstance(dist.formats[dim], Collapsed)
-    return True

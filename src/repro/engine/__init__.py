@@ -15,9 +15,8 @@ tests); communication is *exactly counted* two independent ways:
   Compilation System technique [13] the paper's GENERAL_BLOCK efficiency
   claim refers to; property tests prove it agrees with the oracle.
 
-Overlap (ghost-region) analysis for shift stencils and data-movement
-pricing for REDISTRIBUTE/REALIGN/procedure remaps complete the cost
-model, and the SPMD backend (:mod:`repro.engine.spmd`) executes the same
+Data-movement pricing for REDISTRIBUTE/REALIGN/procedure remaps
+completes the cost model, and the SPMD backend (:mod:`repro.engine.spmd`) executes the same
 compiled schedules on real parallel workers with accounting bit-identical
 to the simulator.  Above the per-statement layer sits the program-level
 IR (:mod:`repro.engine.ir`) and its optimizing pass pipeline
@@ -33,7 +32,6 @@ from repro.engine.owner_computes import (
     local_iteration_counts,
 )
 from repro.engine.commsets import comm_matrix, analytic_comm_sets, CommPiece
-from repro.engine.overlap import detect_shifts, overlap_plan, OverlapPlan
 from repro.engine.executor import Accountant, SimulatedExecutor, \
     ExecutionReport, charge_schedule
 from repro.engine.spmd import SpmdExecutor
@@ -51,7 +49,6 @@ __all__ = [
     "execute_sequential",
     "section_owner_map", "local_iteration_counts",
     "comm_matrix", "analytic_comm_sets", "CommPiece",
-    "detect_shifts", "overlap_plan", "OverlapPlan",
     "Accountant", "SimulatedExecutor", "ExecutionReport",
     "charge_schedule",
     "SpmdExecutor",

@@ -56,9 +56,8 @@ class Accountant:
     """
 
     def deposit(self, machine: DistributedMachine, words, lowering,
-                tag: str, *, kind: str = "ref", ref: str = "",
-                source: str = "", lhs_key: bytes = b"",
-                sources: tuple = (), ghosts=None):
+                tag: str, *, ref: str = "", source: str = "",
+                lhs_key: bytes = b"", ghosts=None):
         """Charge one words matrix; returns the action taken
         (``'charged'`` | ``'fused'`` | ``'halo-skip'`` | ``'cse-skip'``
         | ``'subsume-skip'`` | ``'local'``) — or an ``(action, words)``
@@ -95,8 +94,8 @@ class ExecutionReport:
     work: np.ndarray | None = None
     #: which comm strategy each reference used
     strategies: dict[str, str] = field(default_factory=dict)
-    #: classified communication pattern per reference (``'*'`` for the
-    #: bulk overlap exchange) — see :mod:`repro.engine.lowering`
+    #: classified communication pattern per reference — see
+    #: :mod:`repro.engine.lowering`
     patterns: dict[str, str] = field(default_factory=dict)
     #: what the accountant did with each reference's deposit
     #: ('charged' | 'fused' | 'halo-skip' | 'cse-skip' | 'local');
@@ -132,8 +131,6 @@ class ExecutionReport:
     def words_by_pattern(self) -> dict[str, int]:
         """Total words attributed to each classified pattern (references
         that moved nothing contribute no bucket)."""
-        if "*" in self.patterns:   # bulk overlap exchange
-            return {self.patterns["*"]: self.total_words}
         out: dict[str, int] = {}
         for ref, matrix, _, _ in self.per_ref:
             moved = int(matrix.sum())
@@ -188,33 +185,10 @@ def charge_schedule(machine: DistributedMachine, sched, tag: str = "",
                              np.zeros((p, p), dtype=np.int64),
                              work=sched.work)
     base_tag = tag or sched.statement
-    if sched.overlap is not None:
-        action = acct.deposit(
-            machine, sched.overlap.words, sched.overlap_lowering,
-            f"{base_tag}#overlap", kind="overlap", ref="*",
-            lhs_key=sched.lhs_key, sources=sched.overlap.sources)
-        report.words += sched.overlap.words
-        report.strategies["*"] = "overlap"
-        report.patterns["*"] = sched.overlap_lowering.pattern.value
-        report.comm_actions["*"] = action
-        if action in ("charged", "fused"):
-            report.charged_words += sched.overlap.total_words
-        # reference-level locality is still reported (without
-        # double-charging the machine) for comparability
-        for rs in sched.refs:
-            machine.stats.record_refs(rs.local, rs.off)
-            report.per_ref.append((rs.ref, rs.words, rs.local, rs.off))
-        acct.note_write(sched.lhs_name)
-        # observation-only: an attached autotune profile reads the
-        # schedule/report after charging; it never touches the ledgers
-        profile = getattr(acct, "profile", None)
-        if profile is not None:
-            profile.observe(sched, report)
-        return report
     for k, rs in enumerate(sched.refs):
         result = acct.deposit(
             machine, rs.words, rs.lowering,
-            f"{base_tag}#ref{k}:{rs.ref}", kind="ref", ref=rs.ref,
+            f"{base_tag}#ref{k}:{rs.ref}", ref=rs.ref,
             source=rs.source, lhs_key=sched.lhs_key,
             ghosts=getattr(rs, "ghosts", None))
         if isinstance(result, tuple):
@@ -232,6 +206,8 @@ def charge_schedule(machine: DistributedMachine, sched, tag: str = "",
         report.charged_words += charged
         report.words += rs.words
     acct.note_write(sched.lhs_name)
+    # observation-only: an attached autotune profile reads the
+    # schedule/report after charging; it never touches the ledgers
     profile = getattr(acct, "profile", None)
     if profile is not None:
         profile.observe(sched, report)
@@ -242,7 +218,7 @@ class SimulatedExecutor:
     """Executes statements, charging traffic/work to a machine."""
 
     def __init__(self, ds: DataSpace, machine: DistributedMachine,
-                 strategy: str = "auto", use_overlap: bool = False) -> None:
+                 strategy: str = "auto") -> None:
         if machine.config.n_processors < ds.ap.size:
             raise ValueError(
                 f"machine has {machine.config.n_processors} processors "
@@ -252,10 +228,6 @@ class SimulatedExecutor:
         self.ds = ds
         self.machine = machine
         self.strategy = strategy
-        #: when True, shift stencils over block-partitioned mappings are
-        #: charged as bulk ghost-region (overlap) exchanges — SUPERB's
-        #: optimization [11] — instead of per-reference traffic
-        self.use_overlap = use_overlap
         #: deposit policy; replaced by the program-level optimizer
         self.accountant: Accountant | None = None
 
@@ -274,8 +246,7 @@ class SimulatedExecutor:
         stmt.validate(ds)
         execute_sequential(ds, stmt)
         t1 = perf_counter()
-        sched = schedule_for(ds, stmt, p, strategy=self.strategy,
-                             use_overlap=self.use_overlap)
+        sched = schedule_for(ds, stmt, p, strategy=self.strategy)
         report = charge_schedule(self.machine, sched, tag,
                                  accountant=self.accountant)
         t2 = perf_counter()

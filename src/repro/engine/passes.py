@@ -282,24 +282,23 @@ class OptimizingAccountant(Accountant):
                 self._ghost_resident[k3] = (gstate, ids)
 
     # -- the Accountant protocol ---------------------------------------
-    def deposit(self, machine, words, lowering, tag, *, kind="ref",
-                ref="", source="", lhs_key=b"", sources=(), ghosts=None):
+    def deposit(self, machine, words, lowering, tag, *, ref="",
+                source="", lhs_key=b"", ghosts=None):
         w = np.asarray(words)
         off = w.copy()
         np.fill_diagonal(off, 0)
         moved = int(off.sum())
         if moved == 0:
             return "local"
-        reads = tuple(sorted(sources)) if sources else (source,)
-        key = (kind, ref, reads, lhs_key, off.tobytes())
+        reads = (source,)
+        key = (ref, reads, lhs_key, off.tobytes())
         state = self._state(reads)
         skippable = "halo" in self.passes or "cse" in self.passes
         hit = self._resident.get(key)
         if skippable and hit == state:
             self._resident[key] = self._resident.pop(key)   # LRU refresh
             n_msgs = int(np.count_nonzero(off))
-            is_halo = (kind == "overlap"
-                       or lowering.pattern is Pattern.SHIFT)
+            is_halo = lowering.pattern is Pattern.SHIFT
             opt = "halo" if is_halo else "cse"
             machine.note_savings(opt, moved, n_msgs)
             if opt == "halo":
@@ -311,8 +310,7 @@ class OptimizingAccountant(Accountant):
         # its element set is contained in what earlier exchanges of the
         # same source left resident — the containment whole-matrix
         # residency (above) cannot express
-        track_ghosts = ("subsume" in self.passes and ghosts
-                        and kind == "ref" and source)
+        track_ghosts = "subsume" in self.passes and ghosts and source
         gstate: tuple = ()
         charged_w, charged_off = w, off
         if track_ghosts:

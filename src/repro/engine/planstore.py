@@ -15,8 +15,8 @@ to exploit.
 A content key has three ingredients:
 
 * the **statement structure** — the frozen :class:`Assignment` itself
-  (structural equality), plus the compile options ``(p, strategy,
-  use_overlap)`` the per-scope cache already keys on;
+  (structural equality), plus the compile options ``(p, strategy)``
+  the per-scope cache already keys on;
 * one **per-array layout key** for every array the statement touches:
   ``(name, dtype, distribution class, describe(), domain bounds,
   narrowest-width owner_digest of the primary owner map, replication)``
@@ -175,11 +175,11 @@ def distribution_key(name: str, dtype, dist) -> tuple:
             dist.processors() if replicated else None)
 
 
-def statement_content_key(ds, stmt, n_processors: int, strategy: str,
-                          use_overlap: bool) -> tuple:
+def statement_content_key(ds, stmt, n_processors: int,
+                          strategy: str) -> tuple:
     """The scope-independent content key of one compiled schedule."""
     names = sorted({stmt.lhs.name, *(r.name for r in stmt.rhs.refs())})
-    return ("sched", stmt, n_processors, strategy, use_overlap, ds.ap.size,
+    return ("sched", stmt, n_processors, strategy, ds.ap.size,
             tuple(distribution_key(name, ds.arrays[name].dtype,
                                    ds.distribution_of(name))
                   for name in names))

@@ -11,10 +11,9 @@ array assignment against the current layout of a :class:`DataSpace` —
 * one :class:`RefSchedule` per RHS reference occurrence: the exact
   (P, P) words matrix, the local/off-processor split, and which strategy
   (analytic regular sections / dense oracle) produced it;
-* the SUPERB-style ghost-region :class:`OverlapPlan` when requested;
-* one :class:`~repro.engine.lowering.Lowering` per reference and
-  overlap plan: the compile-time pattern classification (SHIFT /
-  BROADCAST / ALLGATHER / ALLTOALL / POINTWISE) the executors hand to
+* one :class:`~repro.engine.lowering.Lowering` per reference: the
+  compile-time pattern classification (SHIFT / BROADCAST / ALLGATHER /
+  ALLTOALL / POINTWISE) the executors hand to
   :meth:`~repro.machine.simulator.DistributedMachine.charge_collective`
   so recognized traffic is priced with collective-tree formulas while
   the words matrices stay bit-identical.
@@ -53,7 +52,6 @@ from repro.engine.lowering import (
     Pattern,
     classify_matrix,
 )
-from repro.engine.overlap import OverlapPlan, overlap_plan
 from repro.engine.owner_computes import section_owner_map
 from repro.engine.planstore import (
     active_plan_store,
@@ -133,9 +131,6 @@ class CommSchedule:
     #: per-processor elementwise-operation counts for the statement
     work: np.ndarray
     refs: tuple[RefSchedule, ...]
-    overlap: OverlapPlan | None = None
-    #: pattern classification of the overlap exchange, when one exists
-    overlap_lowering: Lowering | None = None
     #: name of the written (LHS) array
     lhs_name: str = ""
     #: narrowest-width ``owner_digest`` of the flattened LHS owner map —
@@ -153,16 +148,12 @@ class CommSchedule:
 
     @property
     def patterns(self) -> dict[str, str]:
-        """Classified pattern per reference (or ``'*'`` for the bulk
-        overlap exchange) — the attribution executors copy into reports."""
-        if self.overlap is not None and self.overlap_lowering is not None:
-            return {"*": self.overlap_lowering.pattern.value}
+        """Classified pattern per reference — the attribution executors
+        copy into reports."""
         return {r.ref: r.pattern for r in self.refs}
 
     @property
     def total_words(self) -> int:
-        if self.overlap is not None:
-            return int(self.overlap.words.sum())
         return int(sum(int(r.words.sum()) for r in self.refs))
 
     def describe(self) -> str:
@@ -199,8 +190,7 @@ def unique_refs(expr: Expr) -> list[ArrayRef]:
 # Compilation
 # ----------------------------------------------------------------------
 def schedule_for(ds: DataSpace, stmt: Assignment, n_processors: int, *,
-                 strategy: str = "auto", use_overlap: bool = False
-                 ) -> CommSchedule:
+                 strategy: str = "auto") -> CommSchedule:
     """The compiled schedule for ``stmt`` under the current layout.
 
     Memoized on the data space: repeated identical statements (the Jacobi
@@ -216,7 +206,7 @@ def schedule_for(ds: DataSpace, stmt: Assignment, n_processors: int, *,
     recompiled.  The per-scope cache still records its own miss either
     way (its counters keep meaning "not resident in this scope").
     """
-    key = (stmt, n_processors, strategy, use_overlap)
+    key = (stmt, n_processors, strategy)
     cache = ds.schedule_cache
     hit = cache.get(key)
     if hit is not None:
@@ -232,14 +222,12 @@ def schedule_for(ds: DataSpace, stmt: Assignment, n_processors: int, *,
         store = active_plan_store()
     content = None
     if store is not None:
-        content = statement_content_key(ds, stmt, n_processors, strategy,
-                                        use_overlap)
+        content = statement_content_key(ds, stmt, n_processors, strategy)
         shared = store.get(content)
         if shared is not None:
             cache.put(key, shared, arrays)
             return shared
-    sched = _compile(ds, stmt, n_processors, strategy, use_overlap,
-                     content)
+    sched = _compile(ds, stmt, n_processors, strategy, content)
     cache.put(key, sched, arrays)
     if store is not None:
         store.put(content, sched)
@@ -247,7 +235,7 @@ def schedule_for(ds: DataSpace, stmt: Assignment, n_processors: int, *,
 
 
 def _compile(ds: DataSpace, stmt: Assignment, p: int, strategy: str,
-             use_overlap: bool, plan_key: tuple | None) -> CommSchedule:
+             plan_key: tuple | None) -> CommSchedule:
     if strategy not in ("auto", "oracle", "analytic"):
         raise ValueError(f"unknown strategy {strategy!r}")
     shape = stmt.validate(ds)
@@ -259,15 +247,13 @@ def _compile(ds: DataSpace, stmt: Assignment, p: int, strategy: str,
     work = np.bincount(dst, minlength=p).astype(np.int64) * n_refs
     work.setflags(write=False)
 
-    plan = overlap_plan(ds, stmt, p) if use_overlap else None
-
     refs: list[RefSchedule] = []
     for ref in stmt.rhs.refs():
         ref_dist = ds.distribution_of(ref.name)
         ref_section = ref.section(ds)
         used = "oracle"
         matrix = None
-        if plan is None and strategy in ("auto", "analytic"):
+        if strategy in ("auto", "analytic"):
             try:
                 pieces = analytic_comm_sets(
                     lhs_dist, lhs_section, ref_dist, ref_section)
@@ -280,8 +266,6 @@ def _compile(ds: DataSpace, stmt: Assignment, p: int, strategy: str,
                     raise
                 matrix = None
         if matrix is None:
-            # the overlap branch reports per-reference locality via the
-            # oracle regardless of strategy (matching the seed engine)
             matrix, local, off = comm_matrix(
                 lhs_dist, lhs_section, ref_dist, ref_section, p)
         matrix.setflags(write=False)
@@ -319,9 +303,6 @@ def _compile(ds: DataSpace, stmt: Assignment, p: int, strategy: str,
     return CommSchedule(
         statement=str(stmt), n_processors=p,
         iteration_shape=tuple(shape), lhs_owner_flat=dst, work=work,
-        refs=tuple(refs), overlap=plan,
-        overlap_lowering=(classify_matrix(plan.words)
-                          if plan is not None else None),
-        lhs_name=stmt.lhs.name,
+        refs=tuple(refs), lhs_name=stmt.lhs.name,
         lhs_key=owner_digest(dst),
         plan_key=plan_key)

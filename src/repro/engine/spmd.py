@@ -920,8 +920,7 @@ class SpmdExecutor:
 
     def __init__(self, ds: DataSpace, machine: DistributedMachine, *,
                  n_workers: int | None = None, mode: str = "auto",
-                 strategy: str = "auto", use_overlap: bool = False,
-                 replay: bool = True) -> None:
+                 strategy: str = "auto", replay: bool = True) -> None:
         if machine.config.n_processors < ds.ap.size:
             raise MachineError(
                 f"machine has {machine.config.n_processors} processors "
@@ -932,7 +931,6 @@ class SpmdExecutor:
         self.ds = ds
         self.machine = machine
         self.strategy = strategy
-        self.use_overlap = use_overlap
         #: whether :meth:`execute_loop` may compile trip-invariant loops
         #: into worker-resident replay programs
         self.replay = bool(replay)
@@ -1140,9 +1138,7 @@ class SpmdExecutor:
         names: set[str] = set()
         for stmt in stmts:
             stmt.validate(ds)
-            scheds.append(
-                schedule_for(ds, stmt, p, strategy=self.strategy,
-                             use_overlap=self.use_overlap))
+            scheds.append(schedule_for(ds, stmt, p, strategy=self.strategy))
             names.add(stmt.lhs.name)
             names.update(r.name for r in stmt.rhs.refs())
         return scheds, names

@@ -54,8 +54,6 @@ class BackendConfig:
     mode: str = "auto"
     #: comm-set strategy forwarded to the executor
     strategy: str = "auto"
-    #: charge shift stencils as ghost-region exchanges
-    use_overlap: bool = False
     #: SPMD: compile proven trip-invariant loops into worker-resident
     #: replay programs (False: every trip is dispatched per window —
     #: the escape hatch when replay must be ruled out while debugging)
@@ -65,9 +63,9 @@ class BackendConfig:
     def pool_key(self) -> tuple:
         """Execution-substrate identity: two specs with equal pool keys
         can share a warm worker pool, so the serving stack batches their
-        requests onto one dispatcher.  Compilation-only fields
-        (``strategy``, ``use_overlap``) are deliberately excluded —
-        they change what is compiled, not how workers are pooled.
+        requests onto one dispatcher.  The compile-only field
+        ``strategy`` is deliberately excluded — it changes what is
+        compiled, not how workers are pooled.
         ``replay`` is included: a replaying executor advances its
         sense-barrier generations, so it must not share a pool with a
         non-replaying dispatcher."""
@@ -99,24 +97,20 @@ class Backend:
                         "or Backend.spmd(...)")
 
     @staticmethod
-    def simulate(*, strategy: str = "auto",
-                 use_overlap: bool = False) -> BackendConfig:
+    def simulate(*, strategy: str = "auto") -> BackendConfig:
         """The sequential cost-model executor (the paper's substrate)."""
-        return BackendConfig(kind="simulate", strategy=strategy,
-                             use_overlap=use_overlap)
+        return BackendConfig(kind="simulate", strategy=strategy)
 
     @staticmethod
     def spmd(workers: int | None = None, *, mode: str = "auto",
-             replay: bool = True, strategy: str = "auto",
-             use_overlap: bool = False) -> BackendConfig:
+             replay: bool = True, strategy: str = "auto") -> BackendConfig:
         """Real parallel workers over shared memory.  ``mode`` picks the
         pool substrate (``'fork'``/``'process'``, ``'thread'``, or
         ``'auto'``); ``replay=False`` disables worker-resident loop
         replay (every trip dispatches per window even for trip-invariant
         loops)."""
         return BackendConfig(kind="spmd", n_workers=workers, mode=mode,
-                             strategy=strategy, use_overlap=use_overlap,
-                             replay=replay)
+                             strategy=strategy, replay=replay)
 
 
 def resolve_backend(spec) -> BackendConfig:
@@ -139,9 +133,8 @@ def make_executor(ds, machine, backend=None):
     config = resolve_backend(backend)
     if config.kind == "simulate":
         from repro.engine.executor import SimulatedExecutor
-        return SimulatedExecutor(ds, machine, strategy=config.strategy,
-                                 use_overlap=config.use_overlap)
+        return SimulatedExecutor(ds, machine, strategy=config.strategy)
     from repro.engine.spmd import SpmdExecutor
     return SpmdExecutor(ds, machine, n_workers=config.n_workers,
                         mode=config.mode, strategy=config.strategy,
-                        use_overlap=config.use_overlap, replay=config.replay)
+                        replay=config.replay)

@@ -128,9 +128,6 @@ class CommStats:
     def total_msgs_saved(self) -> int:
         return sum(self.opt_msgs_saved.values())
 
-    def record_work(self, proc: int, elements: int) -> None:
-        self.local_ops[proc] += elements
-
     def record_refs(self, local: int, off: int) -> None:
         self.local_refs += int(local)
         self.off_processor_refs += int(off)

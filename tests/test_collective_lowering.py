@@ -370,15 +370,6 @@ class TestPatternAttribution:
         assert merged.pattern_words["alltoall"] == \
             2 * a.stats.pattern_words["alltoall"]
 
-    def test_overlap_exchange_classified(self):
-        ds = _blocked_pair()
-        machine = DistributedMachine(MachineConfig(8))
-        ex = SimulatedExecutor(ds, machine, use_overlap=True)
-        report = ex.execute(_jacobi())
-        assert report.patterns.get("*") == "shift"
-        assert machine.stats.pattern_words.get("shift") == \
-            report.total_words
-
 
 class TestLoweringObjects:
     def test_lowering_is_frozen_and_defaulted(self):

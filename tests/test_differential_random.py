@@ -50,6 +50,8 @@ from repro.engine.assignment import Assignment
 from repro.engine.executor import SimulatedExecutor
 from repro.engine.spmd import SpmdExecutor
 from repro.engine.expr import ArrayRef
+from repro.engine.ir import ProgramGraph
+from repro.engine.passes import ProgramRunner
 from repro.engine.reference import execute_sequential
 from repro.fortran.triplet import Triplet
 from repro.machine.config import MachineConfig
@@ -343,14 +345,15 @@ def test_generated_programs_are_deterministic():
 
 
 # ----------------------------------------------------------------------
-# Diagonal-stencil overlap exactness (2-D corner-ghost exchange)
+# Diagonal-stencil halo soundness (2-D corner exchanges at -O2)
 # ----------------------------------------------------------------------
 # The 1-D harness above can never produce a diagonal shift vector, so
-# the corner-ghost path of ``overlap_plan`` gets its own seeded sweep:
-# random 2-D block grids (even and uneven), random stencils with at
-# least one diagonal vector (every 5th seed is the full 9-point star),
-# each checked against an independent element-wise ghost oracle and
-# against the counting executor's per-reference words.
+# the ``-O2`` subsumption pass — which proves a diagonal exchange's
+# elements resident from the straight faces — gets its own seeded
+# sweep: random 2-D block grids (even and uneven), random stencils with
+# at least one diagonal vector (every 5th seed is the full 9-point
+# star), each run at ``-O0`` and ``-O2`` and checked against an
+# independent element-wise count of what every reader must receive.
 
 _DIAG_GRIDS = ((2, 2), (2, 3), (3, 2), (2, 4))
 
@@ -415,79 +418,70 @@ def _diag_statement(case: dict) -> Assignment:
     return Assignment(ArrayRef("X", lt), rhs)
 
 
-def _diag_ghost_oracle(ds, vecs, p):
-    """Independent element-wise recomputation of the corner-ghost
-    exchange: per unit, the union over shift vectors of its shifted
-    owned cells, clipped to the domain, charged to each ghost cell's
-    owner."""
-    amap = ds.distribution_of("Y").primary_owner_map()
-    nr, nc = amap.shape
-    words = np.zeros((p, p), dtype=np.int64)
-    n_messages = 0
-    for u in range(p):
-        cells = {(int(r), int(c))
-                 for r, c in np.argwhere(amap == u)}
-        ghosts = set()
-        for dr, dc in vecs:
-            for r, c in cells:
+def _diag_remote_needs(ds, case: dict, stmt: Assignment) -> np.ndarray:
+    """Independent element-wise lower bound on any sound charge: per
+    reader unit, the number of *distinct* remote ``Y`` elements its
+    owned ``X`` iterations read, over every shift vector."""
+    own = ds.distribution_of("Y").primary_owner_map()
+    lhs = ds.distribution_of("X").primary_owner_map()
+    rows, cols = stmt.lhs.subscripts
+    needs: list[set] = [set() for _ in range(ds.ap.size)]
+    for r in range(rows.lower - 1, rows.upper):
+        for c in range(cols.lower - 1, cols.upper):
+            u = int(lhs[r, c])
+            for dr, dc in case["vecs"]:
                 s = (r + dr, c + dc)
-                if 0 <= s[0] < nr and 0 <= s[1] < nc and s not in cells:
-                    ghosts.add(s)
-        owners = set()
-        for g in ghosts:
-            owner = int(amap[g])
-            words[owner, u] += 1
-            owners.add(owner)
-        n_messages += len(owners)
-    return words, n_messages
+                if int(own[s]) != u:
+                    needs[u].add(s)
+    return np.array([len(n) for n in needs], dtype=np.int64)
+
+
+def _diag_run(case: dict, opt_level: int):
+    ds = _diag_materialize(case)
+    graph = ProgramGraph()
+    graph.assign(_diag_statement(case))
+    p = case["grid"][0] * case["grid"][1]
+    machine = DistributedMachine(MachineConfig(p))
+    ProgramRunner(ds, machine, opt_level=opt_level).run(graph)
+    return ds, machine
 
 
 @pytest.mark.parametrize("seed", range(N_CASES))
 def test_differential_diagonal_overlap(seed):
     from repro.engine.commsets import comm_matrix
-    from repro.engine.overlap import overlap_plan
 
     case = _diag_case(seed)
     p = case["grid"][0] * case["grid"][1]
-    ds = _diag_materialize(case)
     stmt = _diag_statement(case)
-
-    # the plan exists (no diagonal rejection) with the stencil's widths
-    plan = overlap_plan(ds, stmt, p)
-    assert plan is not None, f"seed {seed}: diagonal stencil rejected"
-    assert plan.widths_low == (
-        max(0, max(-dr for dr, _ in case["vecs"])),
-        max(0, max(-dc for _, dc in case["vecs"])))
-    assert plan.widths_high == (
-        max(0, max(dr for dr, _ in case["vecs"])),
-        max(0, max(dc for _, dc in case["vecs"])))
-
-    # exact words accounting: the plan's matrix equals the element-wise
-    # ghost oracle bit-for-bit, messages included
-    words_bf, msgs_bf = _diag_ghost_oracle(ds, case["vecs"], p)
-    np.testing.assert_array_equal(
-        plan.words, words_bf,
-        err_msg=f"seed {seed}: corner-ghost words diverge from oracle")
-    assert plan.n_messages == msgs_bf
-
-    # never under-priced: every reference's exact per-element traffic
-    # fits inside the ghost exchange
-    lhs_sec = ds.section("X", *stmt.lhs.subscripts)
-    dl = ds.distribution_of("X")
-    dr_ = ds.distribution_of("Y")
-    for ref in stmt.rhs.refs():
-        m, _, _ = comm_matrix(dl, lhs_sec,
-                              dr_, ds.section("Y", *ref.subscripts), p)
-        assert (m <= plan.words).all(), \
-            f"seed {seed}: overlap under-prices reference {ref}"
-
-    # the haloed execution keeps reference numerics and charges exactly
-    # the plan's matrix
     ds_ref = _diag_materialize(case)
     execute_sequential(ds_ref, stmt)
-    machine = DistributedMachine(MachineConfig(p))
-    report = SimulatedExecutor(ds, machine, use_overlap=True).execute(stmt)
-    np.testing.assert_array_equal(
-        ds.arrays["X"].data, ds_ref.arrays["X"].data,
-        err_msg=f"seed {seed}: haloed numerics diverge")
-    np.testing.assert_array_equal(report.words, plan.words)
+
+    ds0, m0 = _diag_run(case, 0)
+    ds2, m2 = _diag_run(case, 2)
+    for ds in (ds0, ds2):
+        np.testing.assert_array_equal(
+            ds.arrays["X"].data, ds_ref.arrays["X"].data,
+            err_msg=f"seed {seed}: numerics diverge from the reference")
+
+    # -O0 charges exactly the per-reference oracle traffic
+    lhs_sec = ds_ref.section("X", *stmt.lhs.subscripts)
+    dl = ds_ref.distribution_of("X")
+    dr_ = ds_ref.distribution_of("Y")
+    oracle = sum(
+        int(comm_matrix(dl, lhs_sec, dr_,
+                        ds_ref.section("Y", *ref.subscripts), p)[0].sum())
+        for ref in stmt.rhs.refs())
+    assert m0.stats.total_words == oracle, f"seed {seed}"
+
+    # -O2 is sound: every reader still receives each distinct remote
+    # element it reads at least once ...
+    needs = _diag_remote_needs(ds_ref, case, stmt)
+    short = np.nonzero(m2.stats.words_recv < needs)[0]
+    assert short.size == 0, (
+        f"seed {seed}: -O2 under-charges readers {short.tolist()}: "
+        f"received {m2.stats.words_recv.tolist()}, "
+        f"need {needs.tolist()}")
+    # ... and never moves more than -O0
+    assert m2.stats.total_words <= m0.stats.total_words, f"seed {seed}"
+    assert m2.stats.total_messages <= m0.stats.total_messages, \
+        f"seed {seed}"

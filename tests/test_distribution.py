@@ -104,14 +104,6 @@ class TestFormatDistribution:
         assert dist.local_extent(0) == 15
         assert sum(dist.local_extent(u) for u in range(4)) == 60
 
-    def test_owned_triplets(self):
-        ap, target = make_target((2, 2))
-        dist = FormatDistribution(IndexDomain.standard(10, 6),
-                                  [Block(), Cyclic()], target, ap)
-        row_sets, col_sets = dist.owned_triplets(3)
-        assert row_sets == (Triplet(6, 10, 1),)
-        assert col_sets == (Triplet(2, 6, 2),)
-
     def test_processors_excludes_empty(self):
         # HPF BLOCK can leave trailing processors empty
         ap, target = make_target((4,))

@@ -137,9 +137,8 @@ def test_plan_adoption_remap_replaces_adopted_schedule():
         b.ds.set_dynamic("U")
         b.ds.redistribute("U", [Cyclic(), Block()], to="PR")
         assert key not in b.ds.schedule_cache._entries
-        stmt, p, strategy, use_overlap = key
-        fresh = schedule_for(b.ds, stmt, p, strategy=strategy,
-                             use_overlap=use_overlap)
+        stmt, p, strategy = key
+        fresh = schedule_for(b.ds, stmt, p, strategy=strategy)
         assert fresh is not adopted
         assert fresh.plan_key != adopted.plan_key
         assert b.ds.schedule_cache._entries[key][0] is fresh
@@ -156,10 +155,9 @@ def test_session_service_requires_machine():
 
 def test_pool_key_groups_compatible_specs():
     a = Backend.spmd(workers=4, mode="thread")
-    b = Backend.spmd(workers=4, mode="thread", use_overlap=True,
-                     strategy="oracle")
+    b = Backend.spmd(workers=4, mode="thread", strategy="oracle")
     c = Backend.spmd(workers=4, mode="process")
-    # compilation-only fields don't split pools; substrate fields do
+    # the compile-only strategy doesn't split pools; substrate fields do
     assert a.pool_key == b.pool_key
     assert a.pool_key != c.pool_key
     assert Backend.simulate().pool_key != a.pool_key

@@ -161,23 +161,6 @@ def test_staggered_grid_spmd(mode):
                                   ref.ds.arrays["P"].data)
 
 
-def test_spmd_with_overlap_charging_matches_simulator():
-    case = _jacobi(24)
-    case_sim = _jacobi(24)
-    machine = DistributedMachine(MachineConfig(4))
-    machine_sim = DistributedMachine(MachineConfig(4))
-    sim = SimulatedExecutor(case_sim.ds, machine_sim, use_overlap=True)
-    with SpmdExecutor(case.ds, machine, mode="thread",
-                      use_overlap=True) as ex:
-        spmd_rep = ex.execute(case.statement)
-    sim_rep = sim.execute(case_sim.statement)
-    assert spmd_rep.strategies["*"] == "overlap"
-    np.testing.assert_array_equal(spmd_rep.words, sim_rep.words)
-    assert machine.elapsed == machine_sim.elapsed
-    np.testing.assert_array_equal(case.ds.arrays["XNEW"].data,
-                                  case_sim.ds.arrays["XNEW"].data)
-
-
 @pytest.mark.parametrize("mode", MODES)
 def test_indirect_and_user_defined_through_cache_and_spmd(mode):
     """INDIRECT / UserDefined layouts flow through the schedule cache
@@ -440,7 +423,7 @@ def test_resolve_backend_coercions():
 
 def test_backend_spec_constructors():
     sim = Backend.simulate()
-    assert sim.kind == "simulate" and not sim.use_overlap
+    assert sim.kind == "simulate" and sim.strategy == "auto"
     spec = Backend.spmd(workers=2, mode="fork", replay=False)
     assert spec.kind == "spmd"
     assert spec.n_workers == 2
