@@ -72,7 +72,7 @@ def main() -> None:
                         GeneralBlock.balanced_for_costs(costs, np_)),
                        ("INDIRECT(LPT greedy)", Indirect(owner))):
         dd = fmt.bind(Triplet(1, n), np_)
-        owners = dd.owner_coord_array(Triplet(1, n).values())
+        owners = dd.owners_of(Triplet(1, n).values())
         imb, _ = imbalance_of_partition(costs, owners, np_)
         rows.append({"mapping": label,
                      "max/mean work": f"{imb:.4f}"})

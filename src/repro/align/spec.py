@@ -145,10 +145,6 @@ class AlignSpec:
                 f"match {n_triplet} base subscript-triplets one-to-one "
                 "(analogous to array assignment, §5.1)")
 
-    @property
-    def dummy_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.axes if isinstance(a, AxisDummy))
-
     def __str__(self) -> str:
         axes = ", ".join(str(a) for a in self.axes)
         subs = ", ".join(str(t) for t in self.subscripts)

@@ -57,10 +57,6 @@ class DistributedArray:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def session(self) -> "Session":
-        return self._session
-
-    @property
     def _ds(self):
         return self._session.ds
 

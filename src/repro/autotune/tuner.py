@@ -25,7 +25,7 @@ carrying both the *modeled* gain/cost and the words/messages actually
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.autotune.advisor import Proposal, propose_for_loop
 from repro.autotune.profile import ProfileMark, WorkProfile
@@ -140,6 +140,3 @@ class AutoTuner:
             self.adaptations.append(adaptation)
             applied.append(adaptation)
         return applied
-
-    def summary(self) -> Iterable[str]:
-        return [a.describe() for a in self.adaptations]

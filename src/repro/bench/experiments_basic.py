@@ -166,10 +166,10 @@ def e03_general_block() -> ExperimentResult:
     dim = Triplet(1, n)
     for label, costs in profiles.items():
         block = Block().bind(dim, np_)
-        owners_block = block.owner_coord_array(dim.values())
+        owners_block = block.owners_of(dim.values())
         imb_b, _ = imbalance_of_partition(costs, owners_block, np_)
         gb = GeneralBlock.balanced_for_costs(costs, np_).bind(dim, np_)
-        owners_gb = gb.owner_coord_array(dim.values())
+        owners_gb = gb.owners_of(dim.values())
         imb_g, _ = imbalance_of_partition(costs, owners_gb, np_)
         rows.append({
             "profile": label, "N": n, "NP": np_,
@@ -195,7 +195,7 @@ def e04_cyclic() -> ExperimentResult:
     dim = Triplet(1, n)
     for k in (1, 2, 3, 5):
         cd = Cyclic(k).bind(dim, np_)
-        owners = cd.owner_coord_array(dim.values())
+        owners = cd.owners_of(dim.values())
         extents = [cd.local_extent(p) for p in range(np_)]
         # round-robin invariant: owner(i + k*NP) == owner(i)
         period_ok = bool(np.array_equal(owners[:n - k * np_],

@@ -126,10 +126,6 @@ class HpfArray:
         return self._domain
 
     @property
-    def rank(self) -> int:
-        return self.domain.rank
-
-    @property
     def shape(self) -> tuple[int, ...]:
         return self.domain.shape
 

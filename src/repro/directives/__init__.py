@@ -26,12 +26,10 @@ from repro.directives.lexer import Lexer, Token, TokenKind
 from repro.directives.parser import Parser, parse_program
 from repro.directives import nodes
 from repro.directives.analyzer import Analyzer, ProgramResult, run_program
-from repro.directives.emit import emit_program, EmittedProgram
 
 __all__ = [
     "Lexer", "Token", "TokenKind",
     "Parser", "parse_program",
     "nodes",
     "Analyzer", "ProgramResult", "run_program",
-    "emit_program", "EmittedProgram",
 ]

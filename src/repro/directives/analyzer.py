@@ -81,10 +81,6 @@ class ProgramResult:
     #: executed segment, in order)
     graph: Any = None
 
-    @property
-    def env(self) -> dict[str, int]:
-        return self.ds.env
-
 
 class Analyzer:
     """Executes parsed programs against a model."""

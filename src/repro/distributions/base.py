@@ -104,38 +104,17 @@ class DimDistribution(abc.ABC):
         """All owning coordinates (singleton unless replicated)."""
         return (self.owner_coord(i),)
 
+    @abc.abstractmethod
     def owners_of(self, values: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`owner_coord` over an array of global indices
         (int64 in, int64 out) — the bulk ownership kernel the schedule
-        compiler consumes.  Subclasses override with closed-form NumPy
-        expressions; this fallback loops.
-        """
-        values = np.asarray(values, dtype=np.int64)
-        out = np.empty(values.shape, dtype=np.int64)
-        flat = values.reshape(-1)
-        oflat = out.reshape(-1)
-        for k, v in enumerate(flat):
-            oflat[k] = self.owner_coord(int(v))
-        return out
+        compiler consumes, a closed-form NumPy expression per class."""
 
-    def owner_coord_array(self, values: np.ndarray) -> np.ndarray:
-        """Backward-compatible alias of :meth:`owners_of`."""
-        return self.owners_of(values)
-
+    @abc.abstractmethod
     def local_index_of(self, values: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`local_index` over an array of global indices
-        (int64 in, int64 out) — the bulk local-addressing kernel (public
-        API for node-code generation; exercised by the test suite).
-        Subclasses override with closed-form NumPy expressions; this
-        fallback loops.
-        """
-        values = np.asarray(values, dtype=np.int64)
-        out = np.empty(values.shape, dtype=np.int64)
-        flat = values.reshape(-1)
-        oflat = out.reshape(-1)
-        for k, v in enumerate(flat):
-            oflat[k] = self.local_index(int(v))
-        return out
+        (int64 in, int64 out) — the bulk local-addressing kernel, a
+        closed-form NumPy expression per class."""
 
     @abc.abstractmethod
     def owned(self, coord: int) -> tuple[Triplet, ...]:

@@ -285,17 +285,6 @@ class FormatDistribution(Distribution):
                            dtype=np.int64)
         return self._unit_table[tuple(combo)]
 
-    def local_index_of(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized per-dimension local indices of an ``(m, rank)`` array
-        of index tuples on their owning units: an ``(m, rank)`` array whose
-        column ``k`` is the dimension-``k`` local index (collapsed
-        dimensions use their whole-dimension local numbering)."""
-        indices = np.asarray(indices, dtype=np.int64)
-        out = np.empty(indices.shape, dtype=np.int64)
-        for k, dd in enumerate(self.dims):
-            out[:, k] = dd.local_index_of(indices[:, k])
-        return out
-
     @property
     def is_replicated(self) -> bool:
         return any(d.is_replicated for d in self.dims)

@@ -275,11 +275,6 @@ class ProgramGraph:
         self.nodes = [_coerce(n) for n in self.nodes]
 
     # -- builders ------------------------------------------------------
-    def add(self, node: NodeLike) -> Node:
-        coerced = _coerce(node)
-        self.nodes.append(coerced)
-        return coerced
-
     def assign(self, stmt: Assignment) -> StatementNode:
         node = StatementNode(stmt)
         self.nodes.append(node)
@@ -295,11 +290,6 @@ class ProgramGraph:
 
     def redistribute(self, array: str, formats, to=None) -> RedistributeNode:
         node = RedistributeNode(array, tuple(formats), to)
-        self.nodes.append(node)
-        return node
-
-    def realign(self, spec: AlignSpec) -> RealignNode:
-        node = RealignNode(spec)
         self.nodes.append(node)
         return node
 

@@ -110,10 +110,6 @@ class Lowering:
                                         self.participants)[0]
         return collectives.shift(config, self.offset_words)[0]
 
-    def describe(self) -> str:
-        return (f"<{self.pattern.value} w={self.words_per_unit} "
-                f"parts={self.participants}>")
-
 
 #: the shared fallback sentinel (schedules default to it)
 POINTWISE_LOWERING = Lowering(Pattern.POINTWISE)

@@ -500,10 +500,6 @@ class ProgramRunResult:
         return self.machine.stats.total_words
 
     @property
-    def charged_messages(self) -> int:
-        return self.machine.stats.total_messages
-
-    @property
     def logical_words(self) -> int:
         """Per-statement attribution total (opt-level invariant)."""
         return sum(r.total_words for r in self.reports)

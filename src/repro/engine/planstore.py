@@ -99,10 +99,6 @@ class PlanStore:
                     "misses": self.misses, "evictions": self.evictions,
                     "hit_rate": self.hit_rate}
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

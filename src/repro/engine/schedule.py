@@ -143,10 +143,6 @@ class CommSchedule:
     plan_key: tuple | None = None
 
     @property
-    def iteration_size(self) -> int:
-        return int(self.lhs_owner_flat.size)
-
-    @property
     def patterns(self) -> dict[str, str]:
         """Classified pattern per reference — the attribution executors
         copy into reports."""
@@ -155,12 +151,6 @@ class CommSchedule:
     @property
     def total_words(self) -> int:
         return int(sum(int(r.words.sum()) for r in self.refs))
-
-    def describe(self) -> str:
-        strategies = ",".join(sorted({r.strategy for r in self.refs}))
-        return (f"<CommSchedule {self.statement!r} P={self.n_processors} "
-                f"refs={len(self.refs)} "
-                f"[{strategies or 'none'}] words={self.total_words}>")
 
 
 # ----------------------------------------------------------------------

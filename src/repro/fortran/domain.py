@@ -96,10 +96,6 @@ class IndexDomain:
         """§2.1: standard iff every stride is 1."""
         return all(d.stride == 1 for d in self.dims)
 
-    def extent(self, dim: int) -> int:
-        """Extent of 0-based dimension ``dim``."""
-        return len(self.dims[dim])
-
     def __contains__(self, index: object) -> bool:
         if not isinstance(index, tuple) or len(index) != self.rank:
             return False

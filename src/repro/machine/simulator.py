@@ -192,6 +192,3 @@ class DistributedMachine:
         self.ledger.clear()
         self.stats = CommStats(self.config.n_processors)
         self.elapsed = 0.0
-
-    def snapshot(self) -> CommStats:
-        return self.stats.copy()

@@ -20,7 +20,7 @@ from repro.processors.arrangement import (
     ScalarPolicy,
 )
 from repro.processors.abstract import AbstractProcessors
-from repro.processors.section import ProcessorSection, DistributionTarget
+from repro.processors.section import ProcessorSection
 from repro.processors.topology import (
     Topology,
     FullyConnected,
@@ -35,7 +35,6 @@ __all__ = [
     "ScalarPolicy",
     "AbstractProcessors",
     "ProcessorSection",
-    "DistributionTarget",
     "Topology",
     "FullyConnected",
     "Line",

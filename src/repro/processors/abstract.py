@@ -113,10 +113,6 @@ class AbstractProcessors:
             raise MappingError(
                 f"unknown processor arrangement {name!r}") from None
 
-    @property
-    def arrangements(self) -> tuple[Arrangement, ...]:
-        return tuple(self._arrangements.values())
-
     # ------------------------------------------------------------------
     # AP numbering
     # ------------------------------------------------------------------

@@ -20,9 +20,9 @@ from repro.fortran.domain import IndexDomain
 from repro.fortran.section import ArraySection, full_section
 from repro.fortran.triplet import Triplet
 from repro.processors.abstract import AbstractProcessors
-from repro.processors.arrangement import ProcessorArrangement, ScalarArrangement
+from repro.processors.arrangement import ProcessorArrangement
 
-__all__ = ["ProcessorSection", "DistributionTarget"]
+__all__ = ["ProcessorSection"]
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class ProcessorSection:
         object.__setattr__(self, "arrangement", arrangement)
         object.__setattr__(self, "section", sec)
 
-    # -- DistributionTarget protocol ------------------------------------
+    # -- the target interface the distributions map into ---------------
     @property
     def name(self) -> str:
         return self.arrangement.name
@@ -82,23 +82,3 @@ class ProcessorSection:
         subs = ", ".join(str(s) for s in self.section.subscripts)
         return f"{self.arrangement.name}({subs})"
 
-
-class DistributionTarget:
-    """Factory helpers for distribution targets."""
-
-    @staticmethod
-    def whole(arrangement: ProcessorArrangement) -> ProcessorSection:
-        """The whole arrangement as a target (implicit TO-clause)."""
-        return ProcessorSection(arrangement)
-
-    @staticmethod
-    def of(arrangement: ProcessorArrangement,
-           *subscripts: Union[int, Triplet]) -> ProcessorSection:
-        """An explicit section target, e.g. ``Q(1:NOP:2)``."""
-        return ProcessorSection(arrangement, subscripts)
-
-    @staticmethod
-    def scalar(arrangement: ScalarArrangement,
-               ap: AbstractProcessors) -> tuple[int, ...]:
-        """AP units associated with a scalar arrangement target (§3)."""
-        return ap.ap_units(arrangement)

@@ -22,6 +22,7 @@ from repro.align.function import AlignmentFunction, ClampMode
 from repro.align.reduce import reduce_alignment
 from repro.align.spec import AlignSpec
 from repro.core.array import HpfArray
+from repro.core.dataspace import _factorize
 from repro.distributions.base import DistributionFormat
 from repro.distributions.construct import ConstructedDistribution
 from repro.distributions.distribution import Distribution, FormatDistribution
@@ -119,9 +120,6 @@ class TemplateDataSpace:
     # ------------------------------------------------------------------
     # Declarations
     # ------------------------------------------------------------------
-    def constant(self, name: str, value: int) -> None:
-        self.env[name] = int(value)
-
     def processors(self, name: str, *bounds,
                    origin: int = 0) -> ProcessorArrangement:
         dims = []
@@ -238,7 +236,7 @@ class TemplateDataSpace:
             target = ProcessorSection(self.ap.arrangement(to))
         elif to is None:
             n = sum(f.consumes_target_dim for f in formats)
-            shape = _near_square(self.ap.size, max(n, 1))
+            shape = _factorize(self.ap.size, max(n, 1))
             aname = f"_TAP{max(n, 1)}"
             try:
                 arr = self.ap.arrangement(aname)
@@ -321,20 +319,3 @@ class TemplateDataSpace:
                 lines.append(f"  {name}: unmapped")
         return "\n".join(lines)
 
-
-def _near_square(n: int, ndims: int) -> tuple[int, ...]:
-    dims = [1] * ndims
-    remaining = n
-    for k in range(ndims):
-        slots = ndims - k
-        root = round(remaining ** (1.0 / slots))
-        best = 1
-        for f in range(max(root, 1), 0, -1):
-            if remaining % f == 0:
-                best = f
-                break
-        dims[k] = best
-        remaining //= best
-    dims[0] *= remaining
-    dims.sort(reverse=True)
-    return tuple(dims)

@@ -54,14 +54,6 @@ class Template:
 
     # Identity semantics: no __eq__/__hash__ overrides (object identity).
 
-    @property
-    def rank(self) -> int:
-        return self.domain.rank
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.domain.shape
-
     # The §8.2 impossibilities, as loud failures -----------------------
     def allocate(self, *_args, **_kwargs) -> None:
         raise TemplateError(

@@ -51,7 +51,7 @@ class TestHpfBlock:
     def test_vectorized_owner_matches_scalar(self):
         bd = Block().bind(Triplet(0, 100), 7)
         values = np.arange(0, 101)
-        got = bd.owner_coord_array(values)
+        got = bd.owners_of(values)
         expected = [bd.owner_coord(int(v)) for v in values]
         np.testing.assert_array_equal(got, expected)
 
@@ -112,7 +112,7 @@ class TestViennaBlock:
         bd = Block(variant=BlockVariant.VIENNA).bind(Triplet(0, 52), 7)
         vals = np.arange(0, 53)
         np.testing.assert_array_equal(
-            bd.owner_coord_array(vals),
+            bd.owners_of(vals),
             [bd.owner_coord(int(v)) for v in vals])
 
     def test_partition_contiguous_and_total(self):

@@ -93,7 +93,7 @@ class TestFactorize:
             prod *= d
         assert prod == n
 
-    def test_near_square(self):
+    def test_factors_nearly_square(self):
         assert sorted(_factorize(16, 2)) == [4, 4]
         assert sorted(_factorize(12, 2)) == [3, 4]
 

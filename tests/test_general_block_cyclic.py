@@ -65,7 +65,7 @@ class TestGeneralBlock:
         gb = GeneralBlock([10, 10, 25, 60]).bind(Triplet(1, 80), 5)
         vals = np.arange(1, 81)
         np.testing.assert_array_equal(
-            gb.owner_coord_array(vals),
+            gb.owners_of(vals),
             [gb.owner_coord(int(v)) for v in vals])
 
     def test_local_global_roundtrip(self):
@@ -154,7 +154,7 @@ class TestCyclic:
         cd = Cyclic(3).bind(Triplet(0, 100), 7)
         vals = np.arange(0, 101)
         np.testing.assert_array_equal(
-            cd.owner_coord_array(vals),
+            cd.owners_of(vals),
             [cd.owner_coord(int(v)) for v in vals])
 
     def test_nonunit_lower_bound(self):

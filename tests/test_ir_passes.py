@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.align.ast import Dummy
+from repro.align.spec import AlignSpec, AxisDummy, BaseExpr
 from repro.core.dataspace import DataSpace
 from repro.distributions.block import Block
 from repro.distributions.cyclic import Cyclic
@@ -23,6 +25,7 @@ from repro.engine.ir import (
     DeallocateNode,
     LoopNode,
     ProgramGraph,
+    RealignNode,
     RedistributeNode,
     StatementNode,
     replay_blockers,
@@ -72,7 +75,37 @@ def _multigrid():
 # ----------------------------------------------------------------------
 # The IR itself
 # ----------------------------------------------------------------------
+_STMT = StatementNode(Assignment(ArrayRef("A", (Triplet(2, N),)),
+                                 ArrayRef("B", (Triplet(1, N - 1),))))
+_REALIGN = RealignNode(AlignSpec("C", [AxisDummy("I")], "B",
+                                 [BaseExpr(Dummy("I"))]))
+_ALLOCATE = AllocateNode("D", (N,))
+_EMPTY: frozenset = frozenset()
+
+#: (node, reads, writes, layout_of) — the protocol the passes read:
+#: storage events count as writes (resident ghost copies of the old
+#: instance die), a REALIGN's layout set names its base as well as the
+#: alignee, and a loop answers with the union over its body
+_PROTOCOL = [
+    (_STMT, {"B"}, {"A"}, _EMPTY),
+    (RedistributeNode("A", (Cyclic(),), "PR"), _EMPTY, _EMPTY, {"A"}),
+    (_REALIGN, _EMPTY, _EMPTY, {"C", "B"}),
+    (_ALLOCATE, _EMPTY, {"D"}, {"D"}),
+    (DeallocateNode("D"), _EMPTY, {"D"}, {"D"}),
+    (LoopNode(3, (_STMT, _REALIGN, _ALLOCATE)),
+     {"B"}, {"A", "D"}, {"B", "C", "D"}),
+]
+
+
 class TestProgramGraph:
+    @pytest.mark.parametrize("node,reads,writes,layout", _PROTOCOL,
+                             ids=[type(row[0]).__name__
+                                  for row in _PROTOCOL])
+    def test_node_protocol_table(self, node, reads, writes, layout):
+        assert node.reads() == reads
+        assert node.writes() == writes
+        assert node.layout_of() == layout
+
     def test_def_use_chains(self):
         _, graph = _jacobi()
         chains = graph.def_use()

@@ -80,7 +80,7 @@ def test_owner_coord_consistent_with_owned(case):
 def test_vectorized_owner_agrees(case):
     dd, dim, np_ = case
     vals = dim.values()
-    got = dd.owner_coord_array(vals)
+    got = dd.owners_of(vals)
     expected = np.array([dd.owner_coord(int(v)) for v in vals])
     np.testing.assert_array_equal(got, expected)
 

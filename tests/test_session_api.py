@@ -78,6 +78,42 @@ class TestSlicing:
 
 
 # ----------------------------------------------------------------------
+# Arithmetic on handles and references, against NumPy
+# ----------------------------------------------------------------------
+_OPERATORS = {
+    "2 - A": lambda a: 2 - a,
+    "3 + A": lambda a: 3 + a,
+    "3 * A": lambda a: 3 * a,
+    "1 / A": lambda a: 1 / a,
+    "A - 1": lambda a: a - 1,
+    "A * 2": lambda a: a * 2,
+    "A / 4": lambda a: a / 4,
+}
+
+
+@pytest.mark.parametrize("operand", ["handle", "reference"])
+@pytest.mark.parametrize("op", list(_OPERATORS.values()),
+                         ids=list(_OPERATORS))
+def test_scalar_arithmetic_matches_numpy(op, operand):
+    """A bare :class:`DistributedArray` handle means the whole array; an
+    indexed one is an engine ``Expr``.  Either side of a scalar
+    operator lowers to the statement NumPy would evaluate."""
+    s = Session(4)
+    s.constant("N", 16)
+    assert s.ds.env["N"] == 16
+    pr = s.processors("PR", 4)
+    a, b = s.arrays("A", "B", bounds=(16,))
+    assert a.shape == b.shape == (16,)
+    for handle in (a, b):
+        handle.distribute(Block(), to=pr)
+    values = np.arange(1.0, 17.0)
+    a.data[:] = values
+    b[:] = op(a if operand == "handle" else a[:])
+    s.run()
+    np.testing.assert_allclose(b.data, op(values))
+
+
+# ----------------------------------------------------------------------
 # Golden lowering: the fluent API builds exactly the expected IR
 # ----------------------------------------------------------------------
 class TestLowering:

@@ -21,6 +21,7 @@ from repro.templates.model import ChainedAlignment, TemplateDataSpace
 from repro.templates.template import Template
 from repro.fortran.domain import IndexDomain
 from repro.distributions.distribution import FormatDistribution
+from repro.directives import run_program
 
 
 def ident(alignee, base, factor=1, offset=0):
@@ -124,6 +125,25 @@ class TestTemplateDataSpace:
         tds.distribute("T", [Block()], to="PR")
         text = tds.describe()
         assert "TEMPLATE T" in text and "depth 1" in text
+
+
+class TestImplicitTarget:
+    """A TO-less DISTRIBUTE leaves the processor grid to the
+    implementation; both models must pick the same one, so the same
+    program gets the same owner map under either."""
+
+    SOURCE = """
+      REAL T(34,12,4)
+!HPF$ DISTRIBUTE T(BLOCK,BLOCK,BLOCK)
+"""
+
+    @pytest.mark.parametrize("n_processors", [12, 102])
+    def test_models_agree_on_the_implicit_grid(self, n_processors):
+        paper, template = (
+            run_program(self.SOURCE, n_processors=n_processors, model=m).ds
+            for m in ("paper", "template"))
+        assert np.array_equal(paper.owner_map("T"),
+                              template.owner_map("T"))
 
 
 class TestChainedAlignment:
