@@ -185,7 +185,7 @@ def run_graph(ds: DataSpace, graph: ProgramGraph, *, runner=None,
     """Execute ``graph`` against ``ds``.
 
     With ``runner`` (a :class:`~repro.engine.passes.ProgramRunner`) the
-    graph goes through the full pipeline — pass selection, backend,
+    graph goes through the full pipeline — passes, backend,
     accountant — and the :class:`~repro.engine.passes.ProgramRunResult`
     is returned.  Without one, the graph is interpreted under the
     sequential reference semantics (the ``machine=False`` path) and

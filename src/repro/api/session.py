@@ -71,20 +71,13 @@ class Session:
     opt:
         Optimizer level ``0``/``1``/``2``
         (see :mod:`repro.engine.passes`), or ``"auto"`` to enable the
-        self-adaptive feedback loop (:mod:`repro.autotune`): the
-        ``-O2`` pass set is pruned per program and declared
-        ``cost_profile`` imbalance may trigger a priced GENERAL_BLOCK
-        redistribution at a loop-trip boundary — numerics stay
-        bit-identical, every action lands on
-        ``ProgramRunResult.adaptations``.
-    opt_window:
-        Fusion-window size for ``-O2`` message coalescing.  ``None``
-        (default) sizes the window adaptively from the statement mix of
-        each lowered program; an integer pins it.
-    charge_remaps:
-        Charge REDISTRIBUTE/REALIGN data motion to the machine (on by
-        default; the directive front end disables it for historical
-        accounting compatibility).
+        self-adaptive feedback loop (:mod:`repro.autotune`): the full
+        ``-O2`` pass set runs, and declared ``cost_profile`` imbalance
+        may trigger a priced GENERAL_BLOCK redistribution at a
+        loop-trip boundary — numerics stay bit-identical, every action
+        lands on ``ProgramRunResult.adaptations``.  The ``-O2``
+        coalescing window is always sized from each lowered program
+        (:func:`~repro.engine.passes.adaptive_window`).
     ds:
         Adopt an existing data space instead of creating one (used by
         workload builders that wrap pre-built scopes).
@@ -99,16 +92,12 @@ class Session:
     def __init__(self, n_processors: int = 4, *,
                  machine: bool | MachineConfig = True,
                  backend=None, opt: int | str = 0,
-                 opt_window: int | None = None,
-                 charge_remaps: bool = True,
                  ds: DataSpace | None = None,
                  service=None) -> None:
         self.ds = ds if ds is not None else DataSpace(n_processors)
         self.backend = resolve_backend(backend)
         self.opt = "auto" if (isinstance(opt, str)
                               and opt.lower() == "auto") else int(opt)
-        self.opt_window = opt_window
-        self.charge_remaps = charge_remaps
         self.machine: DistributedMachine | None = None
         if machine:
             config = machine if isinstance(machine, MachineConfig) \
@@ -222,8 +211,7 @@ class Session:
         Runs the same advisor an ``opt="auto"`` execution consults —
         :func:`repro.autotune.tune_graph` over :meth:`lower`'s IR —
         and returns its :class:`~repro.autotune.TuneReport` (layout
-        proposals with modeled gain vs. exact remap cost, plus the
-        per-program pass selection and rationale).  Nothing executes
+        proposals with modeled gain vs. exact remap cost).  Nothing executes
         and nothing is consumed.  Requires a machine (the α-β model
         prices the proposals).
         """
@@ -289,8 +277,7 @@ class Session:
         from repro.engine.passes import ProgramRunner
         return ProgramRunner(
             self.ds, self.machine, backend=self.backend,
-            opt_level=self.opt, charge_remaps=self.charge_remaps,
-            opt_window=self.opt_window)
+            opt_level=self.opt)
 
     # ------------------------------------------------------------------
     # Lifecycle / introspection

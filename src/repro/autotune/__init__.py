@@ -3,15 +3,15 @@
 The paper's central claim is that mapping directives are a *model* the
 system can reason about.  This subsystem closes the loop the static
 stack leaves open: instead of the user hand-picking
-``GeneralBlock.balanced_for_costs(...)`` and ``-O0/-O1/-O2``, a
-``Session(opt="auto")`` run
+``GeneralBlock.balanced_for_costs(...)``, a ``Session(opt="auto")`` run
+executes the full ``-O2`` pass set and
 
 * **measures** — a :class:`WorkProfile` observes per-processor work and
   per-pattern words at the Accountant seam, never touching the ledgers;
 * **advises** — :func:`propose_for_loop` prices a balanced
   GENERAL_BLOCK re-partition (``modeled_gain_per_trip * trips_left``
-  against the exact :func:`price_remap` transfer cost, with hysteresis)
-  and :func:`select_passes` scores the ``-O2`` pass set per program;
+  against the exact :func:`price_remap` transfer cost, with
+  hysteresis);
 * **acts** — an :class:`AutoTuner` splits the loop at a trip boundary
   and emits an ordinary REDISTRIBUTE node through the runner, so cache
   invalidation, epoch bumps and ledger charges all take the existing
@@ -36,7 +36,6 @@ from repro.autotune.advisor import (
     TuneReport,
     modeled_work,
     propose_for_loop,
-    select_passes,
     tune_graph,
 )
 from repro.autotune.partition import (
@@ -52,6 +51,5 @@ __all__ = [
     "Adaptation", "AutoTuner", "BOUNDARY_TRIP", "Decision", "HYSTERESIS",
     "MIN_TRIPS_LEFT", "ProfileMark", "Proposal", "TUNE_LOG", "TuneReport",
     "WorkProfile", "balanced_bounds", "imbalance", "lpt_partition",
-    "modeled_work", "partition_work", "propose_for_loop", "select_passes",
-    "tune_graph",
+    "modeled_work", "partition_work", "propose_for_loop", "tune_graph",
 ]

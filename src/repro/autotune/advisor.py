@@ -18,11 +18,8 @@ A proposal's economics follow the paper's own cost vocabulary:
 * adopt iff ``gain > HYSTERESIS * cost`` — the hysteresis margin keeps
   marginal crossovers from thrashing layouts.
 
-:func:`select_passes` is the second candidate-action family: a
-per-program ``-O2`` pass configuration scored by the same model
-(coalescing buys ``alpha`` per merged message — worthless at
-``alpha=0``; subsumption buys ``beta`` per contained word — worthless at
-``beta=0`` or without repeated same-source references).
+The advisor never chooses passes: ``opt="auto"`` runs the full ``-O2``
+set, because every pass only removes charges.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from repro.machine.config import MachineConfig
 
 __all__ = ["BOUNDARY_TRIP", "HYSTERESIS", "MIN_TRIPS_LEFT", "Proposal",
            "TUNE_LOG", "TuneReport", "modeled_work", "propose_for_loop",
-           "select_passes", "tune_graph"]
+           "tune_graph"]
 
 #: modeled gain must exceed HYSTERESIS x remap cost to adopt
 HYSTERESIS = 1.25
@@ -230,82 +227,6 @@ def _propose_array(ds: Any, config: MachineConfig, name: str,
 
 
 # ----------------------------------------------------------------------
-# Pass selection: the -O2 set scored instead of always-on
-# ----------------------------------------------------------------------
-def _statement_instances(nodes: Sequence[Node], mult: int = 1) -> int:
-    total = 0
-    for node in nodes:
-        if isinstance(node, LoopNode):
-            total += _statement_instances(node.body, mult * node.count)
-        elif isinstance(node, StatementNode):
-            total += mult
-    return total
-
-
-def _static_statements(nodes: Sequence[Node]) -> Iterable[StatementNode]:
-    for node in nodes:
-        if isinstance(node, LoopNode):
-            yield from _static_statements(node.body)
-        elif isinstance(node, StatementNode):
-            yield node
-
-
-def _has_repeated_source(graph: ProgramGraph) -> bool:
-    for node in _static_statements(graph.nodes):
-        names = [r.name for r in node.stmt.rhs.refs()]
-        if len(names) != len(set(names)):
-            return True
-    return False
-
-
-def select_passes(graph: ProgramGraph, config: MachineConfig
-                  ) -> tuple[frozenset[str], dict[str, str]]:
-    """A per-program pass configuration scored by the alpha-beta model.
-
-    Returns ``(passes, rationale)``.  Halo validity and CSE are always
-    on (they elide provably redundant traffic at zero risk); coalescing,
-    subsumption and hoisting switch on only when the model prices a
-    positive saving for *this* program on *this* machine.
-    """
-    from repro.engine.passes import plan_hoists
-
-    chosen = {"halo", "cse"}
-    rationale = {
-        "halo": "on: resident-face reuse saves every re-shipped word",
-        "cse": "on: identical-schedule elision saves every re-shipped "
-               "word",
-    }
-    instances = _statement_instances(graph.nodes)
-    if config.alpha > 0.0 and instances >= 2:
-        chosen.add("coalesce")
-        rationale["coalesce"] = (
-            f"on: alpha={config.alpha:g} per message startup, "
-            f"{instances} statement instances to merge across")
-    elif config.alpha <= 0.0:
-        rationale["coalesce"] = "off: alpha=0, message startups are free"
-    else:
-        rationale["coalesce"] = ("off: single-statement program, "
-                                 "nothing to merge")
-    if config.beta > 0.0 and _has_repeated_source(graph):
-        chosen.add("subsume")
-        rationale["subsume"] = (
-            f"on: beta={config.beta:g} per word, repeated same-source "
-            "references can skip element-contained cells")
-    elif config.beta <= 0.0:
-        rationale["subsume"] = "off: beta=0, words are free"
-    else:
-        rationale["subsume"] = ("off: no statement reads one source "
-                                "array twice")
-    if plan_hoists(graph):
-        chosen.add("hoist")
-        rationale["hoist"] = ("on: loop-invariant remaps found, "
-                              "run each once")
-    else:
-        rationale["hoist"] = "off: no hoistable remap in the program"
-    return frozenset(chosen), rationale
-
-
-# ----------------------------------------------------------------------
 # The report-only front door (`repro tune` / Session.tune())
 # ----------------------------------------------------------------------
 @dataclass
@@ -313,8 +234,6 @@ class TuneReport:
     """The advisor's full report for one recorded program."""
 
     proposals: list[Proposal] = field(default_factory=list)
-    passes: frozenset[str] = frozenset()
-    rationale: dict[str, str] = field(default_factory=dict)
 
     @property
     def adoptions(self) -> list[Proposal]:
@@ -328,11 +247,6 @@ class TuneReport:
                          "adaptable loop)")
         for prop in self.proposals:
             lines.append("  " + prop.describe())
-        ordered = ", ".join(sorted(self.passes)) if self.passes \
-            else "(none)"
-        lines.append(f"passes: {ordered}")
-        for name in sorted(self.rationale):
-            lines.append(f"  {name}: {self.rationale[name]}")
         return "\n".join(lines)
 
 
@@ -367,6 +281,4 @@ def tune_graph(ds: Any, graph: ProgramGraph,
             visit(node.body)
 
     visit(graph.nodes)
-    passes, rationale = select_passes(graph, config)
-    return TuneReport(proposals=proposals, passes=passes,
-                      rationale=rationale)
+    return TuneReport(proposals=proposals)

@@ -380,8 +380,8 @@ def main(argv: list[str] | None = None) -> int:
                       choices=["0", "1", "2", "auto"], default="0",
                       help="communication optimizer level (default 0; "
                            "1 = halo validity + CSE, 2 = + coalescing, "
-                           "auto = cost-driven pass selection + "
-                           "feedback-driven redistribution)")
+                           "auto = -O2 + feedback-driven "
+                           "redistribution)")
     runp.add_argument("--processors", "-p", type=int, default=4,
                       help="machine width (default 4)")
     runp.add_argument("--define", "-D", action="append", metavar="N=V",
@@ -405,8 +405,8 @@ def main(argv: list[str] | None = None) -> int:
                       help="integer program input (repeatable)")
     tune = sub.add_parser(
         "tune", help="report-only autotuning: print the layout "
-                     "proposals and pass selection an opt='auto' run "
-                     "would act on, without executing anything")
+                     "proposals an opt='auto' run would act on, "
+                     "without executing anything")
     tune.add_argument("files", nargs="+", metavar="FILE",
                       help="directive program files (or '-' for stdin); "
                            ".py files run under tune-instead-of-run "

@@ -90,7 +90,6 @@ class Analyzer:
                  model: str = "paper",
                  machine: bool | MachineConfig = False,
                  backend=None, opt_level: int = 0,
-                 opt_window: int | None = None,
                  block_variant: BlockVariant = BlockVariant.HPF,
                  collect_only: bool = False) -> None:
         if model not in ("paper", "template"):
@@ -112,7 +111,6 @@ class Analyzer:
         #: static analysis then reasons at the -O2 pass set
         self.auto = str(opt_level).lower() == "auto"
         self.opt_level = 2 if self.auto else int(opt_level)
-        self.opt_window = opt_window
         self.accountant = None
         self.runner = None
         if machine:
@@ -130,7 +128,7 @@ class Analyzer:
                 self.runner = ProgramRunner(
                     self.ds, self.machine, backend=self.backend,
                     opt_level="auto" if self.auto else self.opt_level,
-                    charge_remaps=False, opt_window=opt_window)
+                    charge_remaps=False)
                 self.executor = self.runner.executor
                 self.accountant = self.runner.accountant
         #: the shared lowering spine (paper model only)
@@ -608,7 +606,6 @@ def run_program(source: str, *, n_processors: int = 4,
                 model: str = "paper",
                 machine: bool | MachineConfig = False,
                 backend=None, opt_level: int = 0,
-                opt_window: int | None = None,
                 block_variant: BlockVariant = BlockVariant.HPF
                 ) -> ProgramResult:
     """Parse, lower and execute a program text; see :class:`Analyzer`.
@@ -622,12 +619,11 @@ def run_program(source: str, *, n_processors: int = 4,
     ``Backend.simulate()`` (the ``None`` default) or
     ``Backend.spmd(workers=4)``.  ``opt_level`` enables the
     program-level communication optimizer (``0``/``1``/``2`` — see
-    :mod:`repro.engine.passes`); ``opt_window`` pins the ``-O2``
-    fusion-window size (default: adaptive per lowered segment).
+    :mod:`repro.engine.passes`).
     """
     analyzer = Analyzer(n_processors, inputs=inputs, model=model,
                         machine=machine, backend=backend,
-                        opt_level=opt_level, opt_window=opt_window,
+                        opt_level=opt_level,
                         block_variant=block_variant)
     return analyzer.run(source)
 

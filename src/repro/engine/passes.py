@@ -87,8 +87,8 @@ OPT_PASSES: dict[int, tuple[str, ...]] = {
     2: ("halo", "cse", "subsume", "coalesce", "hoist"),
 }
 
-#: deposits buffered before a fusion window force-flushes (the legacy
-#: fixed bound; :func:`adaptive_window` sizes it from the program)
+#: deposits buffered before a fusion window force-flushes until
+#: :meth:`ProgramRunner.run` sizes it with :func:`adaptive_window`
 _WINDOW_LIMIT = 16
 
 #: clamp range for adaptively sized fusion windows
@@ -129,8 +129,7 @@ def adaptive_window(graph: ProgramGraph) -> int:
 
 def passes_for(opt_level) -> tuple[str, ...]:
     if str(opt_level).lower() == "auto":
-        # the autotuner starts from the full -O2 pass set and prunes it
-        # per program (repro.autotune.advisor.select_passes)
+        # the full -O2 pass set; auto adds only layout adaptation
         return OPT_PASSES[2]
     try:
         return OPT_PASSES[int(opt_level)]
@@ -226,13 +225,12 @@ class OptimizingAccountant(Accountant):
     """
 
     def __init__(self, ds: DataSpace, machine: DistributedMachine,
-                 opt_level: int = 2, *,
-                 window: int = _WINDOW_LIMIT) -> None:
+                 opt_level: int = 2) -> None:
         self.ds = ds
         self.machine = machine
         self.opt_level = int(opt_level)
         self.passes = frozenset(passes_for(opt_level))
-        self.window = int(window)
+        self.window = _WINDOW_LIMIT
         #: resident-exchange table: key -> (layout epoch, src versions),
         #: LRU-bounded like the ScheduleCache it sits beside (a session
         #: sweeping many distinct statements must not accumulate stale
@@ -520,26 +518,20 @@ class ProgramRunner:
 
     def __init__(self, ds: DataSpace, machine: DistributedMachine, *,
                  backend=None, opt_level=0,
-                 charge_remaps: bool = True,
-                 opt_window: int | None = None) -> None:
+                 charge_remaps: bool = True) -> None:
         self.ds = ds
         self.machine = machine
-        #: ``opt_level="auto"`` enables the feedback loop: the -O2 pass
-        #: set is pruned per program and a tuner may adapt layouts at
-        #: loop-trip boundaries (repro.autotune)
+        #: ``opt_level="auto"`` runs the full -O2 pass set and enables
+        #: the feedback loop: a tuner may adapt layouts at loop-trip
+        #: boundaries (repro.autotune)
         self.auto = str(opt_level).lower() == "auto"
         self.opt_level = 2 if self.auto else int(opt_level)
         self.passes = frozenset(passes_for(opt_level))
         self.charge_remaps = charge_remaps
-        #: fusion-window size; ``None`` sizes it per graph at :meth:`run`
-        #: via :func:`adaptive_window`
-        self.opt_window = opt_window
         from repro.machine.backend import make_executor
         self.executor = make_executor(ds, machine, backend)
-        self.accountant = (OptimizingAccountant(
-            ds, machine, self.opt_level,
-            window=opt_window if opt_window is not None else _WINDOW_LIMIT)
-            if self.passes else None)
+        self.accountant = (OptimizingAccountant(ds, machine, self.opt_level)
+                           if self.passes else None)
         self.executor.accountant = self.accountant
         #: the AutoTuner of the most recent ``auto`` run (introspection)
         self._tuner = None
@@ -585,11 +577,7 @@ class ProgramRunner:
         acct = self.accountant
         tuner = None
         if self.auto and acct is not None:
-            from repro.autotune import AutoTuner, WorkProfile, select_passes
-            # cost-driven pass selection: prune the -O2 set per program
-            chosen, _rationale = select_passes(graph, self.machine.config)
-            self.passes = frozenset(chosen)
-            acct.passes = frozenset(chosen)
+            from repro.autotune import AutoTuner, WorkProfile
             # the feedback loop's measurement half rides the accountant;
             # charge_schedule observes into it without touching ledgers
             profile = WorkProfile(self.machine.config.n_processors)
@@ -597,8 +585,7 @@ class ProgramRunner:
             tuner = AutoTuner(self.ds, self.machine,
                               config=self.machine.config, profile=profile)
             self._tuner = tuner
-        if acct is not None and self.opt_window is None \
-                and "coalesce" in self.passes:
+        if acct is not None and "coalesce" in self.passes:
             acct.window = adaptive_window(graph)
         hoists = plan_hoists(graph) if "hoist" in self.passes else set()
         schedule = ProgramSchedule(self.opt_level, tuple(self.passes))

@@ -168,43 +168,6 @@ class CommStats:
                     + config.beta * (self.words_sent + self.words_recv))
         return float(per_proc.max()) if len(per_proc) else 0.0
 
-    # ------------------------------------------------------------------
-    # Combination
-    # ------------------------------------------------------------------
-    def merge(self, other: "CommStats") -> "CommStats":
-        """Accumulate another stats object into this one (in place)."""
-        if other.n_processors != self.n_processors:
-            raise ValueError("cannot merge stats of different machines")
-        self.msgs_sent += other.msgs_sent
-        self.msgs_recv += other.msgs_recv
-        self.words_sent += other.words_sent
-        self.words_recv += other.words_recv
-        self.local_ops += other.local_ops
-        self.local_refs += other.local_refs
-        self.off_processor_refs += other.off_processor_refs
-        self.hop_weighted_words += other.hop_weighted_words
-        for pattern, n in other.pattern_msgs.items():
-            self.pattern_msgs[pattern] = \
-                self.pattern_msgs.get(pattern, 0) + n
-        for pattern, n in other.pattern_words.items():
-            self.pattern_words[pattern] = \
-                self.pattern_words.get(pattern, 0) + n
-        for pattern, t in other.pattern_time.items():
-            self.pattern_time[pattern] = \
-                self.pattern_time.get(pattern, 0.0) + t
-        for opt, n in other.opt_words_saved.items():
-            self.opt_words_saved[opt] = \
-                self.opt_words_saved.get(opt, 0) + n
-        for opt, n in other.opt_msgs_saved.items():
-            self.opt_msgs_saved[opt] = \
-                self.opt_msgs_saved.get(opt, 0) + n
-        return self
-
-    def copy(self) -> "CommStats":
-        out = CommStats(self.n_processors)
-        out.merge(self)
-        return out
-
     def summary(self) -> str:
         return (f"msgs={self.total_messages} words={self.total_words} "
                 f"locality={self.locality:.3f} "

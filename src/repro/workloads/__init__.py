@@ -14,7 +14,7 @@ caching, the ``-O2`` pass pipeline and both execution backends:
 * :mod:`~repro.workloads.irregular` — irregular per-row cost models and
   partitioners (LPT greedy) for the GENERAL_BLOCK/INDIRECT
   load-balancing experiments (E3);
-* :mod:`~repro.workloads.generators` — deterministic parameter sweeps.
+* :mod:`~repro.workloads.generators` — a deterministic seeded RNG.
 """
 
 from repro.workloads.stencil import (
@@ -33,7 +33,7 @@ from repro.workloads.irregular import (
     imbalanced_jacobi_session,
     lpt_partition,
 )
-from repro.workloads.generators import sweep, seeded_rng
+from repro.workloads.generators import seeded_rng
 
 __all__ = [
     "StencilCase",
@@ -49,6 +49,5 @@ __all__ = [
     "imbalance_of_partition",
     "imbalanced_jacobi_session",
     "lpt_partition",
-    "sweep",
     "seeded_rng",
 ]

@@ -1,22 +1,12 @@
-"""Deterministic sweep and RNG helpers shared by benches and tests."""
+"""Deterministic RNG helper shared by benches and tests."""
 
 from __future__ import annotations
 
-import itertools
 import zlib
-from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-__all__ = ["sweep", "seeded_rng"]
-
-
-def sweep(**axes: Iterable) -> Iterator[Mapping[str, object]]:
-    """Cartesian parameter sweep: ``sweep(n=[64,128], p=[4,16])`` yields
-    dicts in deterministic (itertools.product) order."""
-    keys = list(axes.keys())
-    for combo in itertools.product(*axes.values()):
-        yield dict(zip(keys, combo))
+__all__ = ["seeded_rng"]
 
 
 def seeded_rng(*key: object) -> np.random.Generator:

@@ -1,8 +1,9 @@
 """Tests for the autotune subsystem (repro.autotune).
 
 Covers the unified partitioners, the advisor's hand-computed economics
-(crossover, hysteresis, never-adapt-on-the-last-trip), cost-driven pass
-selection, the RPR023 imbalance lint, the feedback gate, the service's
+(crossover, hysteresis, never-adapt-on-the-last-trip), the law that
+``opt="auto"`` charges exactly what ``-O2`` charges when there is
+nothing to adapt, the RPR023 imbalance lint, the feedback gate, the service's
 per-tenant adaptation counters, the report-only front doors, and the
 end-to-end acceptance scenario: a power-law-imbalanced Jacobi on P=8
 where ``opt="auto"`` emits exactly one REDISTRIBUTE to GENERAL_BLOCK,
@@ -13,6 +14,8 @@ nothing to adapt.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 import pytest
@@ -30,9 +33,9 @@ from repro.autotune import (
     lpt_partition,
     partition_work,
     propose_for_loop,
-    select_passes,
 )
 from repro.distributions.block import Block
+from repro.distributions.cyclic import Cyclic
 from repro.distributions.general_block import GeneralBlock
 from repro.engine.ir import LoopNode
 from repro.engine.passes import RemapPlan, passes_for
@@ -211,72 +214,46 @@ def test_cost_profile_validation():
 
 
 # ----------------------------------------------------------------------
-# Cost-driven pass selection
+# auto runs the full -O2 pass set
 # ----------------------------------------------------------------------
-def _pass_graph(statements: int = 2):
-    s = Session(2, machine=False)
-    pr = s.processors("PR", 2)
-    x = s.array("X", 8).distribute(Block(), to=pr)
-    x.data[:] = 0.0
-    for _ in range(statements):
-        x[1:-1] = x[:-2] + x[2:]
-    return s.lower()
+def _shift_charges(opt, p: int, n: int, b_format, s1: int, s2: int):
+    """Words, messages and modelled time of ``B = 1`` followed by
+    ``X = B`` shifted by ``s1`` and ``Y = B`` shifted by ``s2`` (X and Y
+    BLOCK over ``n`` elements on ``p`` processors)."""
+    s = Session(p, opt=opt, machine=MachineConfig(p))
+    pr = s.processors("PR", p)
+    b = s.array("B", n).distribute(b_format, to=pr)
+    x = s.array("X", n).distribute(Block(), to=pr)
+    y = s.array("Y", n).distribute(Block(), to=pr)
+    b[:] = 1.0
+    x[0:n - s1] = b[s1:n]
+    y[0:n - s2] = b[s2:n]
+    s.run()
+    stats = s.machine.stats
+    charges = (stats.total_words, stats.total_messages, s.machine.elapsed)
+    s.close()
+    return charges
 
 
-def test_select_passes_core_always_on():
-    passes, rationale = select_passes(_pass_graph(), MachineConfig(2))
-    assert {"halo", "cse"} <= passes
-    assert set(rationale) == {"halo", "cse", "coalesce", "subsume",
-                              "hoist"}
+def test_auto_charges_o2_on_probe():
+    # X(1:62)=B(3:64) ships two elements of B across each block edge;
+    # Y(1:63)=B(2:64) needs only the first of them, already resident,
+    # so subsumption charges Y nothing.  That saving spans two
+    # statements, and auto must keep it
+    o2 = _shift_charges(2, 4, 64, Block(), 2, 1)
+    assert o2 == (6, 3, pytest.approx(106.8))
+    assert _shift_charges("auto", 4, 64, Block(), 2, 1) == o2
 
 
-def test_select_passes_coalesce_needs_alpha_and_width():
-    free_msgs = MachineConfig(2, alpha=0.0)
-    passes, rationale = select_passes(_pass_graph(), free_msgs)
-    assert "coalesce" not in passes
-    assert "alpha=0" in rationale["coalesce"]
-    passes, rationale = select_passes(_pass_graph(1), MachineConfig(2))
-    assert "coalesce" not in passes
-    assert "single-statement" in rationale["coalesce"]
-    passes, _ = select_passes(_pass_graph(2), MachineConfig(2))
-    assert "coalesce" in passes
-
-
-def test_select_passes_subsume_needs_beta_and_repeated_source():
-    # the stencil statement reads X twice: repeated source present
-    passes, _ = select_passes(_pass_graph(), MachineConfig(2))
-    assert "subsume" in passes
-    free_words = MachineConfig(2, beta=0.0)
-    passes, rationale = select_passes(_pass_graph(), free_words)
-    assert "subsume" not in passes
-    assert "beta=0" in rationale["subsume"]
-    # distinct sources only: nothing for subsumption to contain
-    s = Session(2, machine=False)
-    pr = s.processors("PR", 2)
-    x = s.array("X", 8).distribute(Block(), to=pr)
-    y = s.array("Y", 8).distribute(Block(), to=pr)
-    x.data[:] = 0.0
-    y.data[:] = 0.0
-    x[1:-1] = y[:-2] + 1.0
-    x[1:-1] = y[2:] * 2.0
-    passes, rationale = select_passes(s.lower(), MachineConfig(2))
-    assert "subsume" not in passes
-    assert "no statement" in rationale["subsume"]
-
-
-def test_select_passes_hoist_needs_hoistable_remap():
-    passes, rationale = select_passes(_pass_graph(), MachineConfig(2))
-    assert "hoist" not in passes
-    s = Session(2)
-    pr = s.processors("PR", 2)
-    x = s.array("X", 8, dynamic=True).distribute(Block(), to=pr)
-    x.data[:] = 0.0
-    with s.loop(3):
-        x.redistribute(GeneralBlock([5]), to=pr)
-        x[1:-1] = x[:-2] + x[2:]
-    passes, rationale = select_passes(s.lower(), MachineConfig(2))
-    assert "hoist" in passes
-    assert "loop-invariant" in rationale["hoist"]
+@pytest.mark.parametrize("seed", range(24))
+def test_auto_charges_o2_on_shift_family(seed):
+    rng = random.Random(seed)
+    p = rng.choice([2, 4])
+    b_format = rng.choice([Block, Cyclic])
+    n = rng.choice([32, 48, 64])
+    s1, s2 = rng.sample(range(4), 2)
+    assert _shift_charges("auto", p, n, b_format(), s1, s2) == \
+        _shift_charges(2, p, n, b_format(), s1, s2)
 
 
 def test_passes_for_accepts_auto():
@@ -529,7 +506,9 @@ def test_auto_differential_matches_static(seed):
         np.testing.assert_array_equal(
             s_auto.ds.arrays[name].data, s_static.ds.arrays[name].data,
             err_msg=f"seed {seed}: auto numerics diverge on {name}")
-    # pass pruning may merge fewer messages, never move different words
     assert s_auto.machine.stats.total_words == \
         s_static.machine.stats.total_words
+    assert s_auto.machine.stats.total_messages == \
+        s_static.machine.stats.total_messages
+    assert s_auto.machine.elapsed == s_static.machine.elapsed
     assert r_auto.logical_words == r_static.logical_words

@@ -358,18 +358,6 @@ class TestPatternAttribution:
         assert m_sim.stats.pattern_time == {}
         assert report.words_by_pattern() == {}
 
-    def test_stats_merge_accumulates_patterns(self):
-        a = DistributedMachine(MachineConfig(4))
-        b = DistributedMachine(MachineConfig(4))
-        matrix = np.full((4, 4), 3, dtype=np.int64)
-        np.fill_diagonal(matrix, 0)
-        low = classify_matrix(matrix)
-        a.charge_collective(matrix, low)
-        b.charge_collective(matrix, low)
-        merged = a.stats.copy().merge(b.stats)
-        assert merged.pattern_words["alltoall"] == \
-            2 * a.stats.pattern_words["alltoall"]
-
 
 class TestLoweringObjects:
     def test_lowering_is_frozen_and_defaulted(self):

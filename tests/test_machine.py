@@ -69,18 +69,6 @@ class TestCommStats:
         # proc 1: 1000 flop + 1 msg recv (10) + 100 words = 1110
         assert s.estimated_time(c) == pytest.approx(1110.0)
 
-    def test_merge(self):
-        a = CommStats(4)
-        a.record_message(Message(0, 1, 10))
-        b = CommStats(4)
-        b.record_message(Message(1, 0, 4))
-        a.merge(b)
-        assert a.total_words == 14
-
-    def test_merge_size_mismatch(self):
-        with pytest.raises(ValueError):
-            CommStats(4).merge(CommStats(8))
-
 
 class TestCollectives:
     def test_broadcast_log_rounds(self):

@@ -265,15 +265,6 @@ class TestAdaptiveWindow:
                  for k in range(100)]
         assert adaptive_window(self._graph(stmts)) == 64
 
-    def test_session_opt_window_override(self):
-        s = Session(4, opt=2, opt_window=7)
-        s.processors("PR", 4)
-        a = s.array("A", 16).distribute(Block(), to="PR")
-        b = s.array("B", 16).distribute(Cyclic(), to="PR")
-        b[:] = a[:]
-        s.run()
-        assert s._runner.accountant.window == 7
-
     def test_session_default_window_is_adaptive(self):
         s = Session(4, opt=2)
         s.processors("PR", 4)
@@ -287,25 +278,27 @@ class TestAdaptiveWindow:
         assert s._runner.accountant.window == 4
 
     def test_window_flush_order_is_preserved(self):
-        """Golden: with a tiny pinned window the fused deposit reaches
-        the ledger before the next statement's traffic."""
+        """Golden: one dependence-free run of 70 deposits sizes the
+        window at the upper clamp, so the first 64 flush as one fused
+        window that reaches the ledger before the remaining 6."""
         from repro.machine.config import MachineConfig
-        s = Session(4, opt=2, opt_window=2,
-                    machine=MachineConfig(4))
+        s = Session(4, opt=2, machine=MachineConfig(4))
         s.processors("PR", 4)
         a = s.array("A", 32).distribute(Block(), to="PR")
-        b = s.array("B", 32).distribute(Block(), to="PR")
-        c = s.array("C", 32).distribute(Block(), to="PR")
-        # two shift deposits fill the window; distinct source arrays so
-        # subset subsumption cannot elide the second (this test pins
-        # coalescing's flush order)
-        a[2:] = b[:-2] + c[1:-1]
-        a[:2] = b[:2]                # same-mapping: no traffic
+        # 70 distinct shifted sources: no CSE, halo or subsumption skip,
+        # and A is never read, so only the size bound flushes
+        srcs = [s.array(f"B{k}", 32).distribute(Block(), to="PR")
+                for k in range(1, 71)]
+        for lo, hi in zip(srcs[::2], srcs[1::2]):
+            a[2:32] = lo[0:30] + hi[1:31]
         result = s.run()
-        fused = [m for m in s.machine.ledger
-                 if m.tag.startswith("fused")]
-        assert fused, "window limit never flushed"
-        assert result.savings["fused_windows"] >= 1
+        assert s._runner.accountant.window == 64
+        assert result.savings["fused_windows"] == 2
+        assert result.savings["fused_deposits"] == 70
+        tags = [m.tag.split(":")[0] for m in s.machine.ledger]
+        assert set(tags) == {"fused[64]", "fused[6]"}
+        assert tags.index("fused[6]") > max(
+            i for i, t in enumerate(tags) if t == "fused[64]")
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.bench.harness import ExperimentResult, format_table
 from repro.cli import main as cli_main
-from repro.workloads.generators import seeded_rng, sweep
+from repro.workloads.generators import seeded_rng
 from repro.workloads.irregular import (
     imbalance_of_partition,
     power_law_costs,
@@ -37,12 +37,6 @@ class TestWorkloads:
         ratio, work = imbalance_of_partition(costs, owners, 2)
         assert ratio == 1.0
         np.testing.assert_array_equal(work, [4, 4])
-
-    def test_sweep_deterministic_order(self):
-        got = list(sweep(a=[1, 2], b=["x", "y"]))
-        assert got[0] == {"a": 1, "b": "x"}
-        assert got[-1] == {"a": 2, "b": "y"}
-        assert len(got) == 4
 
     def test_seeded_rng_reproducible(self):
         assert seeded_rng("k", 1).integers(1 << 30) == \
